@@ -1,12 +1,17 @@
 //! Wall-clock bench-regression gate for CI.
 //!
 //! Times a fixed set of simulator kernels with [`std::time::Instant`]
-//! (min of N iterations after one warmup — the minimum is the most
-//! layout-noise-resistant point estimate on shared runners), compares
-//! each against the checked-in baseline in the `gate` section of
-//! `BENCH_parallel.json`, and exits non-zero when any kernel regresses
-//! past the tolerance. Improvements beyond the tolerance pass but are
-//! flagged so the baseline gets refreshed.
+//! (min of N samples after one warmup — the minimum is the most
+//! layout-noise-resistant point estimate on shared runners; a sample
+//! repeats the kernel back to back until it spans at least
+//! [`MIN_SAMPLE_MS`], so kernels below timer resolution report a real
+//! ms-per-call), compares each against the checked-in baseline in the
+//! `gate` section of `BENCH_parallel.json`, and exits non-zero when any
+//! kernel regresses past the tolerance. Improvements beyond the
+//! tolerance pass but are flagged so the baseline gets refreshed. A
+//! kernel baseline that is not a number, zero or not finite is a load
+//! error (exit 2) unless `--update` is replacing it: it cannot be
+//! compared against.
 //!
 //! ```sh
 //! cargo run --release -p melody-bench --bin bench-gate            # gate
@@ -80,9 +85,13 @@ fn run_kernel(name: &str, w: &WorkloadSpec, workloads: &[WorkloadSpec], opts: &R
     }
 }
 
-/// Times `name`: one warmup run, then the minimum of `iters` timed runs,
-/// in milliseconds. Telemetry mode and the worker pool are configured
-/// per kernel and restored afterwards.
+/// Shortest interval one timing sample may span, in milliseconds.
+const MIN_SAMPLE_MS: f64 = 10.0;
+
+/// Times `name`: one warmup run, then the minimum over `iters` samples
+/// of milliseconds per call, each sample repeating the kernel until it
+/// spans [`MIN_SAMPLE_MS`]. Telemetry mode and the worker pool are
+/// configured per kernel and restored afterwards.
 fn time_kernel(name: &str, iters: u32) -> f64 {
     let w = registry::by_name("605.mcf").expect("mcf");
     let workloads = bench_workloads();
@@ -109,8 +118,16 @@ fn time_kernel(name: &str, iters: u32) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..iters {
         let t = Instant::now();
-        run_kernel(name, &w, &workloads, &opts);
-        best = best.min(t.elapsed().as_secs_f64() * 1e3);
+        let mut calls = 0u32;
+        let ms = loop {
+            run_kernel(name, &w, &workloads, &opts);
+            calls += 1;
+            let ms = t.elapsed().as_secs_f64() * 1e3;
+            if ms >= MIN_SAMPLE_MS {
+                break ms;
+            }
+        };
+        best = best.min(ms / f64::from(calls));
     }
     set_mode(Mode::Off);
     reset();
@@ -138,38 +155,61 @@ fn default_baseline() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_parallel.json")
 }
 
-/// Baseline numbers loaded from the `gate` section.
-struct Baseline {
-    tolerance_pct: f64,
-    iters: u32,
-    kernels: Vec<(String, f64)>,
+/// Tolerance (percent) and timed-sample count from the `gate` section,
+/// with defaults.
+fn gate_settings(root: &Value) -> (f64, u32) {
+    let gate = get(root, "gate");
+    let setting = |key| gate.and_then(|g| get(g, key)).and_then(as_f64);
+    (
+        setting("tolerance_pct").unwrap_or(15.0),
+        setting("iters").unwrap_or(3.0) as u32,
+    )
 }
 
-fn load_baseline(root: &Value) -> Baseline {
-    let gate = get(root, "gate");
-    let tolerance_pct = gate
-        .and_then(|g| get(g, "tolerance_pct"))
-        .and_then(as_f64)
-        .unwrap_or(15.0);
-    let iters = gate
-        .and_then(|g| get(g, "iters"))
-        .and_then(as_f64)
-        .unwrap_or(3.0) as u32;
-    let kernels = gate
+/// Baseline ms per kernel from the `gate` section. Every entry must be a
+/// positive, finite number; anything else is an error rather than
+/// something to compare against (a zero baseline would make every delta
+/// +inf).
+fn baseline_kernels(root: &Value) -> Result<Vec<(String, f64)>, String> {
+    let Some(pairs) = get(root, "gate")
         .and_then(|g| get(g, "kernels"))
         .and_then(Value::as_object)
-        .map(|pairs| {
-            pairs
-                .iter()
-                .filter_map(|(k, v)| as_f64(v).map(|ms| (k.clone(), ms)))
-                .collect()
+    else {
+        return Ok(Vec::new());
+    };
+    pairs
+        .iter()
+        .map(|(k, v)| match as_f64(v) {
+            Some(ms) if ms.is_finite() && ms > 0.0 => Ok((k.clone(), ms)),
+            Some(ms) => Err(format!(
+                "kernel {k}: baseline {ms} ms is not a positive, finite time"
+            )),
+            None => Err(format!("kernel {k}: baseline is not a number")),
         })
-        .unwrap_or_default();
-    Baseline {
-        tolerance_pct,
-        iters,
-        kernels,
-    }
+        .collect()
+}
+
+/// Outcome of one kernel against its baseline.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Status {
+    Ok,
+    Regression,
+    Improved,
+}
+
+/// Percent change of `measured` over `base` (a positive, finite
+/// baseline, as [`baseline_kernels`] guarantees) and its status under a
+/// symmetric `tolerance_pct` band.
+fn judge(base: f64, measured: f64, tolerance_pct: f64) -> (f64, Status) {
+    let delta = (measured - base) / base * 100.0;
+    let status = if delta > tolerance_pct {
+        Status::Regression
+    } else if delta < -tolerance_pct {
+        Status::Improved
+    } else {
+        Status::Ok
+    };
+    (delta, status)
 }
 
 /// Replaces (or appends) the `gate` section of the baseline file's value
@@ -188,13 +228,13 @@ fn set_gate(root: &mut Value, gate: Value) {
 fn gate_value(tolerance_pct: f64, iters: u32, measured: &[(String, f64)]) -> Value {
     let kernels = measured
         .iter()
-        .map(|(k, ms)| (k.clone(), Value::F64((ms * 10.0).round() / 10.0)))
+        .map(|(k, ms)| (k.clone(), Value::F64(((ms * 1e3).round() / 1e3).max(1e-3))))
         .collect();
     Value::Object(vec![
         (
             "note".into(),
             Value::Str(
-                "min-of-N wall-clock ms per kernel; refresh with \
+                "min-of-N wall-clock ms per call (µs precision) per kernel; refresh with \
                  `cargo run --release -p melody-bench --bin bench-gate -- --update`"
                     .into(),
             ),
@@ -258,9 +298,19 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let baseline = load_baseline(&root);
-    let tolerance = tol_override.unwrap_or(baseline.tolerance_pct);
-    let iters = iters_override.unwrap_or(baseline.iters);
+    // `--update` replaces the kernel baselines, so only a gate run
+    // needs them to be valid.
+    let baseline = match baseline_kernels(&root) {
+        Ok(b) => b,
+        Err(_) if update => Vec::new(),
+        Err(e) => {
+            eprintln!("bad baseline in {}: {e}", baseline_path.display());
+            return ExitCode::from(2);
+        }
+    };
+    let (file_tolerance, file_iters) = gate_settings(&root);
+    let tolerance = tol_override.unwrap_or(file_tolerance);
+    let iters = iters_override.unwrap_or(file_iters);
 
     println!(
         "== bench gate: min of {iters} wall-clock runs per kernel, tolerance +{tolerance:.1}% =="
@@ -268,7 +318,7 @@ fn main() -> ExitCode {
     let mut measured = Vec::new();
     for name in KERNELS {
         let ms = time_kernel(name, iters);
-        println!("  timed {name:24} {ms:>10.1} ms");
+        println!("  timed {name:24} {ms:>10.3} ms");
         measured.push((name.to_string(), ms));
     }
 
@@ -296,23 +346,21 @@ fn main() -> ExitCode {
     );
     let mut failed = false;
     for (name, ms) in &measured {
-        match baseline.kernels.iter().find(|(k, _)| k == name) {
+        match baseline.iter().find(|(k, _)| k == name) {
             Some((_, base)) => {
-                let delta = (ms - base) / base * 100.0;
-                let status = if delta > tolerance {
-                    failed = true;
-                    "REGRESSION"
-                } else if delta < -tolerance {
-                    "improved (refresh baseline with --update)"
-                } else {
-                    "ok"
+                let (delta, status) = judge(*base, *ms, tolerance);
+                failed |= status == Status::Regression;
+                let status = match status {
+                    Status::Ok => "ok",
+                    Status::Regression => "REGRESSION",
+                    Status::Improved => "improved (refresh baseline with --update)",
                 };
-                println!("  {name:24} {base:>10.1} {ms:>10.1} {delta:>+7.1}%  {status}");
+                println!("  {name:24} {base:>10.3} {ms:>10.3} {delta:>+7.1}%  {status}");
             }
             None => {
                 failed = true;
                 println!(
-                    "  {name:24} {:>10} {ms:>10.1} {:>8}  NEW (no baseline; run --update)",
+                    "  {name:24} {:>10} {ms:>10.3} {:>8}  NEW (no baseline; run --update)",
                     "-", "-"
                 );
             }
@@ -324,4 +372,60 @@ fn main() -> ExitCode {
     }
     println!("bench gate passed");
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn gate_with(kernels: &str) -> Value {
+        let text =
+            format!(r#"{{"gate": {{"tolerance_pct": 15, "iters": 3, "kernels": {kernels}}}}}"#);
+        serde_json::from_str(&text).expect("valid json")
+    }
+
+    #[test]
+    fn judge_bands_the_delta_symmetrically() {
+        assert_eq!(judge(10.0, 11.0, 15.0), (10.0, Status::Ok));
+        assert_eq!(judge(10.0, 12.0, 15.0).1, Status::Regression);
+        assert_eq!(judge(10.0, 8.0, 15.0).1, Status::Improved);
+        assert_eq!(
+            judge(10.0, 11.5, 15.0).1,
+            Status::Ok,
+            "the band edge passes"
+        );
+        let (delta, status) = judge(0.002, 0.003, 15.0);
+        assert!(
+            (delta - 50.0).abs() < 1e-9,
+            "sub-timer baselines compare finitely"
+        );
+        assert_eq!(status, Status::Regression);
+    }
+
+    #[test]
+    fn zero_or_non_numeric_baselines_are_load_errors() {
+        let ok = baseline_kernels(&gate_with(r#"{"a": 270.1, "b": 0.004}"#)).expect("valid");
+        assert_eq!(ok, vec![("a".into(), 270.1), ("b".into(), 0.004)]);
+        for bad in [
+            r#"{"a": 0}"#,
+            r#"{"a": -1.5}"#,
+            r#"{"a": "fast"}"#,
+            r#"{"a": null}"#,
+        ] {
+            let err = baseline_kernels(&gate_with(bad)).err();
+            assert!(
+                err.is_some_and(|e| e.contains("kernel a")),
+                "{bad} must not load"
+            );
+        }
+    }
+
+    #[test]
+    fn update_keeps_microsecond_precision() {
+        let v = gate_value(15.0, 3, &[("k".into(), 0.0123456), ("tiny".into(), 1e-5)]);
+        let root = Value::Object(vec![("gate".into(), v)]);
+        assert_eq!(gate_settings(&root), (15.0, 3));
+        let back = baseline_kernels(&root).expect("reload");
+        assert_eq!(back, vec![("k".into(), 0.012), ("tiny".into(), 0.001)]);
+    }
 }

@@ -85,6 +85,9 @@ impl Iterator for PrefetchBatchIter {
     }
 }
 
+/// Largest stride, in lines, the stride prefetcher locks onto.
+const MAX_STRIDE_LINES: u64 = 8;
+
 /// Detects constant-stride streams in the L1 access stream and prefetches
 /// a small distance ahead (the L1 prefetcher).
 #[derive(Debug, Clone)]
@@ -123,12 +126,21 @@ impl StridePrefetcher {
         Self::new(4, 2)
     }
 
+    /// Furthest a candidate can lie from the observed line, in lines:
+    /// the largest tracked stride times the degree.
+    pub fn reach_lines(&self) -> u64 {
+        MAX_STRIDE_LINES * u64::from(self.degree)
+    }
+
     /// Observes a demand access; returns prefetch candidates.
     pub fn observe(&mut self, line: u64) -> PrefetchBatch {
         let mut out = PrefetchBatch::default();
         if self.last_line != u64::MAX {
             let stride = line as i64 - self.last_line as i64;
-            if stride != 0 && stride == self.last_stride && stride.unsigned_abs() <= 8 {
+            if stride != 0
+                && stride == self.last_stride
+                && stride.unsigned_abs() <= MAX_STRIDE_LINES
+            {
                 self.confirmations += 1;
             } else {
                 self.confirmations = 0;
@@ -191,6 +203,12 @@ impl StreamPrefetcher {
     /// Default L2 configuration.
     pub fn l2_default() -> Self {
         Self::new(4, 16, 16)
+    }
+
+    /// Furthest a candidate can lie from the observed line, in lines:
+    /// half the distance plus the degree, within one 4 KiB page.
+    pub fn reach_lines(&self) -> u64 {
+        u64::from(self.distance / 2 + self.degree).min(63)
     }
 
     /// Prefetch run-ahead distance in lines.

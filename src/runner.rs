@@ -80,6 +80,7 @@ fn synthesize_spa_guide(
     if tiering.policy != PolicyKind::SpaGuided || !tiering.guide.is_empty() {
         return None;
     }
+    let _span = melody_telemetry::span("run.spa_guide");
     let popts = RunOptions {
         sample_interval_ns: Some(2_000),
         ..opts.clone()
@@ -122,6 +123,11 @@ fn synthesize_spa_guide(
 }
 
 /// Runs one workload on one device.
+///
+/// Under `--telemetry metrics` the wall-clock profile splits each run
+/// into `run.spa_guide` (guide synthesis, spa-guided tiering only),
+/// `run.core_new` (device build and core construction), `run.warm`
+/// (functional cache warming) and `run.simulate`.
 pub fn run_workload(
     platform: &Platform,
     device: &DeviceSpec,
@@ -132,6 +138,7 @@ pub fn run_workload(
     // The fast tier is a closed-form interval model: no core, no warming,
     // no event loop (see [`melody_spa::run_interval`]).
     if opts.fidelity == Fidelity::Fast {
+        let _span = melody_telemetry::span("run.simulate");
         return melody_spa::run_interval(
             &scaled,
             &device.analytic_profile(),
@@ -158,7 +165,10 @@ pub fn run_workload(
     cfg.ilp = (workload.ilp * workload.threads as f64).min(ipc_peak);
     cfg.serialize_frac = workload.serialize_frac;
     let seed = workload_seed(opts.seed, &workload.name);
-    let mut core = Core::new(cfg, device.build(seed));
+    let mut core = {
+        let _span = melody_telemetry::span("run.core_new");
+        Core::new(cfg, device.build(seed))
+    };
     // Functional warming removes cold-start bias (see [`Core::warm`]).
     // The warmed ranges approximate the steady-state cache contents:
     // phases share one address space rooted at 0, so the *smallest*
@@ -168,6 +178,7 @@ pub fn run_workload(
     // ratios. The largest set is warmed first so the base region wins
     // cache residency on overlap.
     {
+        let _span = melody_telemetry::span("run.warm");
         let cap = core.l3_capacity_bytes();
         let mut phases: Vec<&melody_workloads::Phase> = workload.phases.iter().collect();
         phases.sort_by_key(|p| std::cmp::Reverse(p.working_set));
@@ -191,6 +202,7 @@ pub fn run_workload(
     }
     // Same stream seed regardless of device: local and target runs
     // execute the identical instruction sequence.
+    let _span = melody_telemetry::span("run.simulate");
     let stream = SlotStream::new(workload, opts.seed, opts.mem_refs);
     match opts.fidelity {
         Fidelity::Detailed => core.run(stream),

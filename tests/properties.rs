@@ -14,12 +14,15 @@
 //! - the tiering page table keeps every page in exactly one tier,
 //!   conserves residency (`promoted − demoted == fast-resident`), keeps
 //!   migrated bytes equal to migrations × page size, and never exceeds
-//!   the per-epoch migration budget.
+//!   the per-epoch migration budget;
+//! - every line a registry workload or its prefetchers can touch has a
+//!   tag that fits the caches' 32-bit tag array.
 //!
 //! Iteration counts default low enough for the tier-1 suite; the
 //! scheduled CI job raises them via `MELODY_PROP_ITERS`.
 
 use melody::prelude::*;
+use melody_cpu::{Cache, StreamPrefetcher, StridePrefetcher};
 use melody_mem::{
     CxlDevice, DramBackend, DramTiming, MemRequest, PolicyKind, RequestKind, TieredDevice,
     TieringConfig,
@@ -357,5 +360,28 @@ fn spa_stall_components_are_contained_and_bounded() {
         );
         assert!(c.invariants_hold(), "{ctx}");
         assert!(c.retired_stalls <= c.cycles, "{ctx}");
+    }
+}
+
+/// The compact cache stores 32-bit tags and panics on a line beyond
+/// them. The smallest set count, and so the tightest bound, is an
+/// unscaled L1 (the core builds it 12-way; SMP scaling only adds sets).
+/// Every demand address stays below its phase's working set, and the
+/// prefetchers reach at most a few dozen lines past a demand line.
+#[test]
+fn registry_addresses_fit_the_cache_tag_range() {
+    let max_ws = registry::all()
+        .iter()
+        .flat_map(|w| w.phases.iter().map(|p| p.working_set))
+        .max()
+        .expect("non-empty registry");
+    let reach =
+        StridePrefetcher::l1_default().reach_lines() + StreamPrefetcher::l2_default().reach_lines();
+    let top = max_ws / 64 + reach;
+    for p in Platform::all() {
+        // Panics if `top`'s tag does not fit.
+        let mut l1 = Cache::new(p.l1d_kb as usize * 1024, 12);
+        l1.fill(top, false);
+        assert!(l1.contains(top), "{}: line {top:#x}", p.name);
     }
 }

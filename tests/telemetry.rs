@@ -1,6 +1,7 @@
 //! Integration tests for the telemetry layer: histogram merge algebra,
-//! ring-buffer overflow, span nesting, trace determinism across worker
-//! counts, and simulation-identity with instrumentation on vs off.
+//! ring-buffer overflow, span nesting, per-run phase spans, trace
+//! determinism across worker counts, and simulation-identity with
+//! instrumentation on vs off.
 //!
 //! Telemetry mode and the worker-pool size are process-global, so every
 //! test that touches them serializes on [`GATE`] and restores the
@@ -117,6 +118,29 @@ fn span_nesting_credits_self_and_child_time() {
     assert_eq!(inner_stat.total_ns, inner_stat.self_ns);
     assert!(outer_stat.total_ns >= inner_stat.total_ns);
     assert!(outer_stat.self_ns <= outer_stat.total_ns - inner_stat.total_ns);
+}
+
+#[test]
+fn run_workload_profiles_its_phases() {
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    reset();
+    set_mode(Mode::Metrics);
+    let w = registry::by_name("605.mcf").expect("mcf");
+    let opts = RunOptions {
+        mem_refs: 2_000,
+        ..Default::default()
+    };
+    let _ = run_workload(&Platform::emr2s(), &presets::cxl_b(), &w, &opts);
+    set_mode(Mode::Off);
+    let profile = collect().profile;
+    for phase in ["run.core_new", "run.warm", "run.simulate"] {
+        let n = profile.spans.get(phase).map(|s| s.count);
+        assert_eq!(n, Some(1), "{phase} must be profiled once per run");
+    }
+    assert!(
+        !profile.spans.contains_key("run.spa_guide"),
+        "a plain device synthesizes no guide"
+    );
 }
 
 fn small_population() -> Vec<PairOutcome> {
