@@ -11,6 +11,8 @@
 //! `--jobs N` sets the worker-thread count for the parallel experiment
 //! engine (`--jobs 1` forces the legacy serial path; the default uses
 //! all cores). Output is byte-identical for every worker count.
+//! `--scale smoke|quick|full` sets the experiment size (default smoke);
+//! any other scale exits 2.
 //!
 //! `--telemetry metrics|trace` enables the instrumentation layer: a
 //! metrics table is appended to stdout and a per-stage wall-clock
@@ -34,11 +36,10 @@ fn parse_args() -> (Vec<String>, Scale, bool) {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--scale" => {
-                scale = match args.next().as_deref() {
-                    Some("quick") => Scale::Quick,
-                    Some("full") => Scale::Full,
-                    _ => Scale::Smoke,
-                }
+                scale = Scale::parse(&args.next().unwrap_or_default()).unwrap_or_else(|e| {
+                    eprintln!("{e}");
+                    std::process::exit(2);
+                })
             }
             "--json" => json = true,
             "--telemetry" => {

@@ -44,18 +44,26 @@
 //! topology to the campaign spec's device axis. A single-expander
 //! topology is byte-identical to naming its device class directly.
 //!
-//! Global flags: `--jobs N` (worker threads), `--telemetry
-//! off|metrics|trace` (instrumentation level, default off — see
-//! TELEMETRY.md), `--cadence-ns N` (gauge sampling window), and
-//! `--cache DIR` / `--no-cache` (content-addressed result cache; see
-//! EXPERIMENTS.md "Campaigns and the result cache"). `melody campaign`
-//! expands a platform × device × fault × workload spec into cells,
-//! loads warm cells from the cache (default `.melody-cache`), simulates
-//! only the misses, and emits byte-identical output for any cache,
-//! `--shard i/N` or `--jobs` mix. With
-//! telemetry enabled, every command appends a metrics table to its
-//! report (stdout) and a wall-clock phase profile to stderr. `melody
-//! trace` runs a small deterministic population sweep in trace mode and
+//! Global flags, accepted before or after the subcommand: `--jobs N`
+//! (worker threads), `--telemetry off|metrics|trace` (instrumentation
+//! level, default off — see TELEMETRY.md) and `--cadence-ns N` (gauge
+//! sampling window) apply to every command. `--fidelity
+//! detailed|sampled|fast` and `--sample-warmup/-window/-period N` set
+//! the simulation tier of `run`, `trace`, `tiering` and `campaign`;
+//! `--cache DIR` / `--no-cache` select the content-addressed result
+//! cache of `campaign`, `degraded` and `serve` (see EXPERIMENTS.md
+//! "Campaigns and the result cache"). Any other command given one of
+//! these exits 2 naming the flag, as does a malformed numeric flag
+//! value.
+//!
+//! `melody campaign` expands a platform × device × fault × workload
+//! spec into cells, loads warm cells from the cache (default
+//! `.melody-cache`), simulates only the misses, and emits
+//! byte-identical output for any cache, `--shard i/N` or `--jobs` mix.
+//! The tier flags fill only the fields a campaign spec omits (spec >
+//! flag > default). With telemetry enabled, every command appends a
+//! metrics table to its report (stdout) and a wall-clock phase profile
+//! to stderr. `melody trace` runs a small deterministic population sweep in trace mode and
 //! exports a Chrome `trace_event` JSON viewable in Perfetto; the export
 //! is byte-identical for a fixed seed at any `--jobs` setting.
 //!
@@ -92,6 +100,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use melody::prelude::*;
+use melody_cpu::{Fidelity, SamplingParams};
 use melody_mem::{CpmuDevice, FaultConfig, PolicyKind, TieringConfig};
 use melody_workloads::mlc::{loaded_latency, MlcConfig};
 use melody_workloads::Suite;
@@ -106,10 +115,28 @@ fn flag(args: &[String], name: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
-fn flag_u64(args: &[String], name: &str, default: u64) -> u64 {
-    flag(args, name)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// The value of a numeric flag, or `None` when the flag is absent. A
+/// missing or malformed value exits 2 naming the flag and the value.
+fn flag_num<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
+    let i = args.iter().position(|a| a == name)?;
+    let value = args.get(i + 1).map_or("", String::as_str);
+    match value.parse() {
+        Ok(n) => Some(n),
+        Err(_) => {
+            eprintln!("{name} expects a number, got `{value}`");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// The `--scale` flag (default smoke); an unknown scale exits 2.
+fn scale_flag(args: &[String]) -> Scale {
+    flag(args, "--scale")
+        .map_or(Ok(Scale::Smoke), |s| Scale::parse(&s))
+        .unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        })
 }
 
 /// Attaches the `--faults <regime>` fault-injection regime to a device
@@ -152,10 +179,10 @@ fn apply_policy(spec: DeviceSpec, args: &[String], local: &DeviceSpec) -> Device
         return spec;
     }
     let mut tc = TieringConfig::new(kind);
-    if let Some(p) = flag(args, "--page-bytes").and_then(|v| v.parse().ok()) {
+    if let Some(p) = flag_num(args, "--page-bytes") {
         tc.page_bytes = p;
     }
-    if let Some(b) = flag(args, "--migrate-budget-gbps").and_then(|v| v.parse().ok()) {
+    if let Some(b) = flag_num(args, "--migrate-budget-gbps") {
         tc.migrate_budget_gbps = b;
     }
     if let Err(e) = tc.validate() {
@@ -216,43 +243,6 @@ fn take_jobs_flag(args: &mut Vec<String>) {
     }
 }
 
-/// Consumes the global fidelity flags. `--fidelity detailed|sampled|fast`
-/// selects the simulation tier for every run the command performs
-/// (default detailed — byte-identical to builds without the flag);
-/// `--sample-warmup/-window/-period N` override the sampled tier's
-/// schedule in slots. Campaign specs can still override per grid.
-fn take_fidelity_flags(args: &mut Vec<String>) {
-    if let Some(i) = args.iter().position(|a| a == "--fidelity") {
-        let f = args
-            .get(i + 1)
-            .and_then(|v| melody_cpu::Fidelity::parse(v))
-            .unwrap_or_else(|| usage());
-        melody::exec::set_fidelity(f);
-        args.drain(i..i + 2);
-    }
-    let (mut warmup, mut window, mut period) = (0u64, 0u64, 0u64);
-    for (flag, slot) in [
-        ("--sample-warmup", &mut warmup),
-        ("--sample-window", &mut window),
-        ("--sample-period", &mut period),
-    ] {
-        if let Some(i) = args.iter().position(|a| a == flag) {
-            *slot = args
-                .get(i + 1)
-                .and_then(|v| v.parse::<u64>().ok())
-                .unwrap_or_else(|| usage());
-            args.drain(i..i + 2);
-        }
-    }
-    if warmup + window + period > 0 {
-        melody::exec::set_sampling(warmup, window, period);
-        if let Err(e) = melody::exec::sampling().validate() {
-            eprintln!("invalid sampling schedule: {e}");
-            std::process::exit(2);
-        }
-    }
-}
-
 /// Consumes the global telemetry flags: `--telemetry off|metrics|trace`
 /// selects the instrumentation level (default off: the zero-cost path,
 /// byte-identical output), `--cadence-ns N` sets the gauge sampling
@@ -276,35 +266,122 @@ fn take_telemetry_flags(args: &mut Vec<String>) {
     }
 }
 
-/// Consumes the global cache flags. `--cache DIR` installs a
-/// content-addressed result cache rooted at DIR for every
-/// cache-aware code path (campaigns, population sweeps, figure
-/// drivers); `--no-cache` forces cache-free execution (it also
-/// suppresses the default `.melody-cache` that `melody campaign`
-/// would otherwise install). Returns `true` when `--no-cache` was
-/// given.
-fn take_cache_flags(args: &mut Vec<String>) -> bool {
-    let mut no_cache = false;
-    if let Some(i) = args.iter().position(|a| a == "--no-cache") {
-        no_cache = true;
-        args.remove(i);
-    }
-    if let Some(i) = args.iter().position(|a| a == "--cache") {
-        let dir = args.get(i + 1).cloned().unwrap_or_else(|| usage());
-        args.drain(i..i + 2);
-        if no_cache {
+/// The global flags that set what a command computes or where it
+/// keeps results, parsed once in `main` and handed to the commands that
+/// take them.
+#[derive(Default)]
+struct RunFlags {
+    /// `--fidelity`.
+    fidelity: Option<Fidelity>,
+    /// `--sample-warmup`, `--sample-window` and `--sample-period`, in
+    /// slots.
+    sample: [Option<u64>; 3],
+    /// `--cache DIR`.
+    cache: Option<String>,
+    /// `--no-cache`.
+    no_cache: bool,
+}
+
+const SAMPLE_FLAGS: [&str; 3] = ["--sample-warmup", "--sample-window", "--sample-period"];
+
+/// The result cache `campaign` and `serve` use unless told otherwise.
+const DEFAULT_CACHE: &str = ".melody-cache";
+
+impl RunFlags {
+    /// Consumes the flags from `args`. A malformed value, or `--cache`
+    /// together with `--no-cache`, exits 2.
+    fn take(args: &mut Vec<String>) -> Self {
+        let mut flags = Self::default();
+        let mut take_value = |name: &str| {
+            let i = args.iter().position(|a| a == name)?;
+            let v = args.get(i + 1).cloned().unwrap_or_else(|| usage());
+            args.drain(i..i + 2);
+            Some(v)
+        };
+        flags.fidelity =
+            take_value("--fidelity").map(|v| Fidelity::parse(&v).unwrap_or_else(|| usage()));
+        for (slot, name) in flags.sample.iter_mut().zip(SAMPLE_FLAGS) {
+            *slot = take_value(name).map(|v| v.parse().unwrap_or_else(|_| usage()));
+        }
+        flags.cache = take_value("--cache");
+        if let Some(i) = args.iter().position(|a| a == "--no-cache") {
+            flags.no_cache = true;
+            args.remove(i);
+        }
+        if flags.no_cache && flags.cache.is_some() {
             eprintln!("--cache and --no-cache are mutually exclusive");
             std::process::exit(2);
         }
-        match ResultCache::open(&dir) {
-            Ok(c) => melody::cache::set_global(Some(c)),
-            Err(e) => {
-                eprintln!("cannot open cache {dir}: {e}");
-                std::process::exit(2);
-            }
+        flags
+    }
+
+    /// Exits 2 when `cmd` was given one of these flags it does not
+    /// take: the tier flags set only simulation runs, the cache flags
+    /// only the cache-aware commands.
+    fn check(&self, cmd: &str) {
+        let tier = matches!(cmd, "run" | "trace" | "tiering" | "campaign");
+        let cache = matches!(cmd, "campaign" | "degraded" | "serve");
+        let given = [
+            ("--fidelity", self.fidelity.is_some(), tier),
+            (SAMPLE_FLAGS[0], self.sample[0].is_some(), tier),
+            (SAMPLE_FLAGS[1], self.sample[1].is_some(), tier),
+            (SAMPLE_FLAGS[2], self.sample[2].is_some(), tier),
+            ("--cache", self.cache.is_some(), cache),
+            ("--no-cache", self.no_cache, cache),
+        ];
+        if let Some((name, ..)) = given.iter().find(|&&(_, set, takes)| set && !takes) {
+            eprintln!("`melody {cmd}` does not take {name}");
+            std::process::exit(2);
         }
     }
-    no_cache
+
+    /// The fidelity tier and sampling schedule of a run: the flags over
+    /// the defaults. An invalid schedule exits 2.
+    fn tier(&self) -> (Fidelity, SamplingParams) {
+        let mut sampling = SamplingParams::default();
+        let [warmup, window, period] = self.sample;
+        sampling.warmup_slots = warmup.unwrap_or(sampling.warmup_slots);
+        sampling.window_slots = window.unwrap_or(sampling.window_slots);
+        sampling.period_slots = period.unwrap_or(sampling.period_slots);
+        if let Err(e) = sampling.validate() {
+            eprintln!("invalid sampling schedule: {e}");
+            std::process::exit(2);
+        }
+        (self.fidelity.unwrap_or_default(), sampling)
+    }
+
+    /// Fills the tier fields `spec` omits from the flags, so the spec
+    /// wins over a flag and a flag over the default.
+    fn fill_spec(&self, spec: &mut CampaignSpec) {
+        if spec.fidelity.is_none() {
+            spec.fidelity = self.fidelity.map(|f| f.label().to_string());
+        }
+        let [warmup, window, period] = self.sample;
+        spec.sample_warmup = spec.sample_warmup.or(warmup);
+        spec.sample_window = spec.sample_window.or(window);
+        spec.sample_period = spec.sample_period.or(period);
+    }
+
+    /// The result-cache directory: `--cache DIR`, else `default`; none
+    /// with `--no-cache`.
+    fn cache_dir(&self, default: Option<&str>) -> Option<String> {
+        if self.no_cache {
+            return None;
+        }
+        self.cache.clone().or_else(|| default.map(String::from))
+    }
+}
+
+/// Opens the result cache at `dir`, exiting 2 when it cannot.
+fn open_cache(dir: Option<String>) -> Option<ResultCache> {
+    let dir = dir?;
+    match ResultCache::open(&dir) {
+        Ok(c) => Some(c),
+        Err(e) => {
+            eprintln!("cannot open cache {dir}: {e}");
+            std::process::exit(2);
+        }
+    }
 }
 
 /// Drains collected telemetry after a command: metrics join the report
@@ -402,36 +479,32 @@ fn progress_requested(args: &[String]) -> bool {
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     take_jobs_flag(&mut args);
-    take_fidelity_flags(&mut args);
+    let flags = RunFlags::take(&mut args);
     take_telemetry_flags(&mut args);
-    let no_cache = take_cache_flags(&mut args);
     let Some(cmd) = args.first() else { usage() };
-    if cmd == "campaign" && !no_cache && !melody::cache::global_enabled() {
-        // Campaigns default to a local cache; every other command is
-        // cache-free unless --cache is given.
-        match ResultCache::open(".melody-cache") {
-            Ok(c) => melody::cache::set_global(Some(c)),
-            Err(e) => {
-                eprintln!("cannot open cache .melody-cache: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
+    flags.check(cmd);
+    // Campaigns default to a local cache; `degraded` uses one only when
+    // --cache is given.
+    let cache = match cmd.as_str() {
+        "campaign" => open_cache(flags.cache_dir(Some(DEFAULT_CACHE))),
+        "degraded" => open_cache(flags.cache_dir(None)),
+        _ => None,
+    };
     match cmd.as_str() {
         "devices" => cmd_devices(),
         "workloads" => cmd_workloads(&args[1..]),
         "probe" => cmd_probe(&args[1..]),
         "mio" => cmd_mio(&args[1..]),
         "mlc" => cmd_mlc(&args[1..]),
-        "run" => cmd_run(&args[1..]),
+        "run" => cmd_run(&args[1..], flags.tier()),
         "cpmu" => cmd_cpmu(&args[1..]),
-        "campaign" => cmd_campaign(&args[1..]),
-        "degraded" => cmd_degraded(&args[1..]),
-        "tiering" => cmd_tiering(&args[1..]),
-        "trace" => cmd_trace(&args[1..]),
+        "campaign" => cmd_campaign(&args[1..], &flags, cache.as_ref()),
+        "degraded" => cmd_degraded(&args[1..], cache.as_ref()),
+        "tiering" => cmd_tiering(&args[1..], flags.tier()),
+        "trace" => cmd_trace(&args[1..], flags.tier()),
         "diff" => cmd_diff(&args[1..]),
         "report" => cmd_report(&args[1..]),
-        "serve" => cmd_serve(&args[1..], no_cache),
+        "serve" => cmd_serve(&args[1..], flags.cache_dir(Some(DEFAULT_CACHE))),
         "submit" => cmd_submit(&args[1..]),
         "status" => cmd_status(&args[1..]),
         "drain" => cmd_drain(&args[1..]),
@@ -439,8 +512,8 @@ fn main() {
     }
     // Cache effectiveness is diagnostic output: stderr only, never into
     // comparable stdout.
-    if let Some(stats) = melody::cache::global_stats() {
-        eprintln!("{}", stats.render());
+    if let Some(cache) = &cache {
+        eprintln!("{}", cache.stats().render());
     }
     finish_telemetry();
 }
@@ -555,9 +628,9 @@ fn cmd_mio(args: &[String]) {
     };
     let spec = apply_faults(spec, args);
     let cfg = melody_mio::MioConfig {
-        chase_threads: flag_u64(args, "--threads", 1) as usize,
-        noise_threads: flag_u64(args, "--noise", 0) as usize,
-        accesses: flag_u64(args, "--accesses", 40_000),
+        chase_threads: flag_num(args, "--threads").unwrap_or(1),
+        noise_threads: flag_num(args, "--noise").unwrap_or(0),
+        accesses: flag_num(args, "--accesses").unwrap_or(40_000),
         ..Default::default()
     };
     let r = melody_mio::run(&spec, &cfg);
@@ -578,13 +651,11 @@ fn cmd_mlc(args: &[String]) {
         usage()
     };
     let spec = apply_faults(spec, args);
-    let read_frac = flag(args, "--rw")
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(1.0);
+    let read_frac = flag_num(args, "--rw").unwrap_or(1.0);
     let cfg = MlcConfig {
         read_frac,
-        delay_cycles: flag_u64(args, "--delay", 0),
-        total_requests: flag_u64(args, "--requests", 40_000),
+        delay_cycles: flag_num(args, "--delay").unwrap_or(0),
+        total_requests: flag_num(args, "--requests").unwrap_or(40_000),
         ..MlcConfig::default()
     };
     let p = loaded_latency(&spec, &cfg);
@@ -600,7 +671,7 @@ fn cmd_mlc(args: &[String]) {
     print_ras(&p.stats.ras);
 }
 
-fn cmd_run(args: &[String]) {
+fn cmd_run(args: &[String], (fidelity, sampling): (Fidelity, SamplingParams)) {
     let Some(wname) = args.first() else { usage() };
     let Some(w) = registry::by_name(wname) else {
         eprintln!("unknown workload {wname} (try `melody workloads`)");
@@ -621,7 +692,9 @@ fn cmd_run(args: &[String]) {
         .and_then(|p| platform_by_name(&p))
         .unwrap_or_else(Platform::emr2s);
     let opts = RunOptions {
-        mem_refs: flag_u64(args, "--refs", 30_000),
+        mem_refs: flag_num(args, "--refs").unwrap_or(30_000),
+        fidelity,
+        sampling,
         ..Default::default()
     };
     // A single run has no cell grid, so `--progress` reports elapsed
@@ -675,7 +748,7 @@ fn run_json(
     opts: &RunOptions,
 ) {
     let cfg = melody_insight::InsightConfig {
-        windows: flag_u64(args, "--windows", 24) as usize,
+        windows: flag_num(args, "--windows").unwrap_or(24),
         ..Default::default()
     };
     let (local_run, _l_events, l_dropped, l_metrics) =
@@ -770,6 +843,10 @@ fn cmd_diff(args: &[String]) {
         }
     }
     let [path_a, path_b] = paths[..] else { usage() };
+    let opts = melody_insight::DiffOptions {
+        rel_tol: flag_num(args, "--rel-tol").unwrap_or(0.0),
+        abs_tol: flag_num(args, "--abs-tol").unwrap_or(0.0),
+    };
     let read = |path: &String| -> serde::Value {
         let text = read_json_text(path);
         serde_json::from_str(&text).unwrap_or_else(|e| {
@@ -779,14 +856,6 @@ fn cmd_diff(args: &[String]) {
     };
     let a = read(path_a);
     let b = read(path_b);
-    let opts = melody_insight::DiffOptions {
-        rel_tol: flag(args, "--rel-tol")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0.0),
-        abs_tol: flag(args, "--abs-tol")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0.0),
-    };
     let verdict = melody_insight::diff_values(&a, &b, &opts);
     if args.iter().any(|x| x == "--json") {
         println!("{}", melody::report::to_json(&verdict));
@@ -841,7 +910,7 @@ fn cmd_cpmu(args: &[String]) {
     let Some(spec) = args.first().and_then(|n| device_by_name(n)) else {
         usage()
     };
-    let accesses = flag_u64(args, "--accesses", 40_000);
+    let accesses = flag_num(args, "--accesses").unwrap_or(40_000);
     let mut dev = CpmuDevice::new(spec.build(1));
     let mut rng = melody_sim::SimRng::seed_from(0xC11);
     let mut t = 0;
@@ -877,7 +946,7 @@ fn cmd_cpmu(args: &[String]) {
 /// interleaved slices; `--journal PATH` + `--resume` checkpoint and
 /// resume exactly like `melody degraded`. Output is byte-identical for
 /// any cache, shard or `--jobs` mix.
-fn cmd_campaign(args: &[String]) {
+fn cmd_campaign(args: &[String], flags: &RunFlags, cache: Option<&ResultCache>) {
     use melody::journal::Journal;
 
     // The spec path is the first positional; values of valued flags
@@ -919,12 +988,13 @@ fn cmd_campaign(args: &[String]) {
     if let Some(p) = flag(args, "--policy") {
         spec.policies.push(p);
     }
-    if let Some(p) = flag(args, "--page-bytes").and_then(|v| v.parse().ok()) {
+    if let Some(p) = flag_num(args, "--page-bytes") {
         spec.page_bytes = Some(p);
     }
-    if let Some(b) = flag(args, "--migrate-budget-gbps").and_then(|v| v.parse().ok()) {
+    if let Some(b) = flag_num(args, "--migrate-budget-gbps") {
         spec.migrate_budget_gbps = Some(b);
     }
+    flags.fill_spec(&mut spec);
     let shard = match flag(args, "--shard") {
         Some(s) => Shard::parse(&s).unwrap_or_else(|| {
             eprintln!("bad --shard `{s}` (expected i/N with i < N)");
@@ -963,10 +1033,7 @@ fn cmd_campaign(args: &[String]) {
     } else {
         None
     };
-    let run = melody::cache::with_global(|cache| {
-        run_campaign(&spec, shard, &mut journal, cache, &policy)
-    })
-    .unwrap_or_else(|e| {
+    let run = run_campaign(&spec, shard, &mut journal, cache, &policy).unwrap_or_else(|e| {
         eprintln!("{e}");
         std::process::exit(2);
     });
@@ -1040,19 +1107,11 @@ fn telemetry_export_with_exec_counters(
     export
 }
 
-fn cmd_degraded(args: &[String]) {
+fn cmd_degraded(args: &[String], cache: Option<&ResultCache>) {
     use melody::experiments::degraded;
     use melody::journal::Journal;
 
-    let scale = match flag(args, "--scale").as_deref() {
-        None | Some("smoke") => Scale::Smoke,
-        Some("quick") => Scale::Quick,
-        Some("full") => Scale::Full,
-        Some(other) => {
-            eprintln!("unknown scale `{other}` (smoke|quick|full)");
-            std::process::exit(2);
-        }
-    };
+    let scale = scale_flag(args);
     let resume = args.iter().any(|a| a == "--resume");
     let mut journal = match flag(args, "--journal") {
         Some(path) => {
@@ -1075,12 +1134,12 @@ fn cmd_degraded(args: &[String]) {
         }
     };
     warn_torn_journal(&journal, resume);
-    let limit = flag(args, "--limit").and_then(|v| v.parse::<usize>().ok());
     let report = degraded::run_with(
         scale,
         &degraded::standard_cells(),
         &mut journal,
-        limit,
+        flag_num(args, "--limit"),
+        cache,
         &melody::exec::CellPolicy::default(),
     );
     if args.iter().any(|a| a == "--json") {
@@ -1116,19 +1175,10 @@ fn cmd_degraded(args: &[String]) {
 /// migration comparison (every [`melody_mem::POLICIES`] entry on the
 /// phased hot/cold workload over CXL-B) and renders the slowdown /
 /// migration-traffic table, or the JSON document with `--json`.
-fn cmd_tiering(args: &[String]) {
+fn cmd_tiering(args: &[String], (fidelity, sampling): (Fidelity, SamplingParams)) {
     use melody::experiments::tiering;
 
-    let scale = match flag(args, "--scale").as_deref() {
-        None | Some("smoke") => Scale::Smoke,
-        Some("quick") => Scale::Quick,
-        Some("full") => Scale::Full,
-        Some(other) => {
-            eprintln!("unknown scale `{other}` (smoke|quick|full)");
-            std::process::exit(2);
-        }
-    };
-    let data = tiering::run(scale);
+    let data = tiering::run(scale_flag(args), fidelity, sampling);
     if args.iter().any(|a| a == "--json") {
         println!(
             "{}",
@@ -1146,7 +1196,7 @@ fn cmd_tiering(args: &[String]) {
 /// The sweep goes through the parallel harness, so `--jobs` exercises
 /// the worker pool — and the export is still byte-identical at any
 /// worker count, which CI enforces with `cmp`.
-fn cmd_trace(args: &[String]) {
+fn cmd_trace(args: &[String], (fidelity, sampling): (Fidelity, SamplingParams)) {
     let Some(dname) = args.first() else { usage() };
     let Some(spec) = device_by_name(dname) else {
         usage()
@@ -1154,10 +1204,12 @@ fn cmd_trace(args: &[String]) {
     let spec = apply_faults(spec, args);
     melody_telemetry::set_mode(melody_telemetry::Mode::Trace);
     let out_path = flag(args, "--out").unwrap_or_else(|| format!("trace_{dname}.json"));
-    let n = flag_u64(args, "--workloads", 6) as usize;
+    let n = flag_num(args, "--workloads").unwrap_or(6);
     let workloads: Vec<_> = registry::all().into_iter().take(n).collect();
     let opts = RunOptions {
-        mem_refs: flag_u64(args, "--refs", 4_000),
+        mem_refs: flag_num(args, "--refs").unwrap_or(4_000),
+        fidelity,
+        sampling,
         ..Default::default()
     };
     let platform = Platform::emr2s();
@@ -1218,44 +1270,33 @@ fn server_flag(args: &[String]) -> String {
 
 /// `melody serve`: runs the campaign service in the foreground until it
 /// drains (SIGTERM, SIGINT or `POST /v1/drain`). See
-/// `melody::server` for the API and robustness model. The global
-/// `--cache DIR` flag selects the server's result cache (default
-/// `.melody-cache`; `--no-cache` disables warm starts).
-fn cmd_serve(args: &[String], no_cache: bool) {
+/// `melody::server` for the API and robustness model. `cache_dir` is
+/// the server's result cache (`--cache DIR`, default `.melody-cache`;
+/// `None` with `--no-cache`, which disables warm starts).
+fn cmd_serve(args: &[String], cache_dir: Option<String>) {
     use melody::server::{signal, ServeConfig, Server};
 
     let mut cfg = ServeConfig::default();
     if let Some(h) = flag(args, "--addr") {
         cfg.host = h;
     }
-    if let Some(p) = flag(args, "--port") {
-        cfg.port = p.parse().unwrap_or_else(|_| usage());
+    if let Some(p) = flag_num(args, "--port") {
+        cfg.port = p;
     }
     if let Some(d) = flag(args, "--state-dir") {
         cfg.state_dir = d.into();
     }
-    cfg.queue_depth = flag_u64(args, "--queue-depth", cfg.queue_depth as u64) as usize;
-    cfg.admission_limit = flag_u64(args, "--admission-limit", cfg.admission_limit);
-    if let Some(ms) = flag(args, "--deadline-ms") {
-        cfg.default_deadline_ms = Some(ms.parse().unwrap_or_else(|_| usage()));
-    }
-    cfg.max_attempts = flag_u64(args, "--max-attempts", u64::from(cfg.max_attempts)) as u32;
+    cfg.queue_depth = flag_num(args, "--queue-depth").unwrap_or(cfg.queue_depth);
+    cfg.admission_limit = flag_num(args, "--admission-limit").unwrap_or(cfg.admission_limit);
+    cfg.default_deadline_ms = flag_num(args, "--deadline-ms");
+    cfg.max_attempts = flag_num(args, "--max-attempts").unwrap_or(cfg.max_attempts);
     if let Some(fmt) = flag(args, "--log") {
         match melody::server::log::LogFormat::parse(&fmt) {
             Some(f) => melody::server::log::set_format(f),
             None => usage(),
         }
     }
-    // The server owns a private cache handle: the process-global one is
-    // held locked for a whole campaign, which would block health and
-    // status queries while a job runs.
-    cfg.cache_dir = if no_cache {
-        None
-    } else {
-        melody::cache::with_global(|c| c.map(|c| c.root().to_path_buf()))
-            .or_else(|| Some(".melody-cache".into()))
-    };
-    melody::cache::set_global(None);
+    cfg.cache_dir = cache_dir.map(Into::into);
     signal::install_drain_handler();
     let handle = Server::start(cfg).unwrap_or_else(|e| {
         eprintln!("cannot start server: {e}");
@@ -1295,9 +1336,9 @@ fn cmd_submit(args: &[String]) {
     }
     let server = server_flag(args);
     let client_name = flag(args, "--client");
-    let deadline_ms = flag(args, "--deadline-ms").map(|v| v.parse().unwrap_or_else(|_| usage()));
+    let deadline_ms = flag_num(args, "--deadline-ms");
     let schedule = RetrySchedule {
-        max_retries: flag_u64(args, "--retries", 0) as u32,
+        max_retries: flag_num(args, "--retries").unwrap_or(0),
         ..Default::default()
     };
     match client::submit_with_retry(
@@ -1341,8 +1382,8 @@ fn wait_and_print_result(server: &str, id: &str, args: &[String]) {
     use melody::server::api::JobStatus;
     use melody::server::client::{self, RetrySchedule};
 
-    let poll = Duration::from_millis(flag_u64(args, "--poll-ms", 200));
-    let timeout = Duration::from_secs(flag_u64(args, "--timeout-s", 600));
+    let poll = Duration::from_millis(flag_num(args, "--poll-ms").unwrap_or(200));
+    let timeout = Duration::from_secs(flag_num(args, "--timeout-s").unwrap_or(600));
     let schedule = RetrySchedule {
         max_retries: 0,
         base: poll,
@@ -1474,7 +1515,7 @@ fn cmd_status(args: &[String]) {
     let server = server_flag(args);
     let id = positional(args, CLIENT_VALUE_FLAGS);
     if args.iter().any(|a| a == "--watch") {
-        let poll = Duration::from_millis(flag_u64(args, "--poll-ms", 500));
+        let poll = Duration::from_millis(flag_num(args, "--poll-ms").unwrap_or(500));
         watch_status(&server, id.as_deref(), poll);
         return;
     }

@@ -30,7 +30,6 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::{fs, io};
 
 use serde::{Deserialize, Serialize};
@@ -223,16 +222,17 @@ impl ResultCache {
         // The temp name must be unique per *writer*, not just per
         // process: two worker threads resolving the same fingerprint
         // would otherwise interleave truncate/write/rename on one temp
-        // file and could rename a half-written entry into place. The
-        // (pid, global sequence) pair keeps concurrent threads and
-        // concurrent processes on disjoint temp files; whichever rename
-        // lands last wins with a complete envelope.
-        static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
-        let tmp = dir.join(format!(
-            ".{key}.tmp-{}-{}",
-            std::process::id(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
+        // file and could rename a half-written entry into place. A
+        // thread writes and renames before it writes again, and thread
+        // ids are never reused, so the (pid, thread id) pair keeps
+        // concurrent threads and concurrent processes on disjoint temp
+        // files; whichever rename lands last wins with a complete
+        // envelope.
+        let thread: String = format!("{:?}", std::thread::current().id())
+            .chars()
+            .filter(char::is_ascii_digit)
+            .collect();
+        let tmp = dir.join(format!(".{key}.tmp-{}-{thread}", std::process::id()));
         fs::write(&tmp, json.as_bytes())?;
         fs::rename(&tmp, &path)?;
         if melody_telemetry::metrics_on() {
@@ -250,35 +250,6 @@ impl ResultCache {
             corrupt: self.corrupt.load(Ordering::Relaxed),
         }
     }
-}
-
-/// Process-wide cache configured by the CLI's `--cache DIR` flag.
-///
-/// `None` (the default) keeps every experiment driver on its exact
-/// pre-cache code path — [`crate::campaign::cached_map`] degenerates to
-/// a plain [`crate::exec::parallel_map`] — so cache-less runs stay
-/// byte-identical to builds without the cache layer.
-static GLOBAL: Mutex<Option<ResultCache>> = Mutex::new(None);
-
-/// Installs (or with `None`, removes) the process-wide cache.
-pub fn set_global(cache: Option<ResultCache>) {
-    *GLOBAL.lock().expect("cache registry lock") = cache;
-}
-
-/// True when a process-wide cache is installed.
-pub fn global_enabled() -> bool {
-    GLOBAL.lock().expect("cache registry lock").is_some()
-}
-
-/// Runs `f` with the process-wide cache handle (if any).
-pub fn with_global<R>(f: impl FnOnce(Option<&ResultCache>) -> R) -> R {
-    let guard = GLOBAL.lock().expect("cache registry lock");
-    f(guard.as_ref())
-}
-
-/// Counter snapshot of the process-wide cache, if one is installed.
-pub fn global_stats() -> Option<CacheStats> {
-    with_global(|c| c.map(|c| c.stats()))
 }
 
 #[cfg(test)]

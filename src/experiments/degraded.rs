@@ -17,6 +17,7 @@ use melody_mem::{faults, presets, DeviceSpec, FaultConfig, RasCounters};
 use melody_workloads::mlc;
 use serde::{Deserialize, Serialize};
 
+use crate::cache::ResultCache;
 use crate::exec::{run_cells, CellError, CellPolicy};
 use crate::journal::Journal;
 use crate::report::{ras_table, TableData};
@@ -214,6 +215,7 @@ pub fn run(scale: Scale) -> DegradedReport {
         &standard_cells(),
         &mut Journal::in_memory(),
         None,
+        None,
         &CellPolicy::default(),
     )
 }
@@ -225,7 +227,9 @@ pub fn run(scale: Scale) -> DegradedReport {
 /// complete, so a killed sweep loses at most in-flight cells. `limit`
 /// caps how many *missing* cells are attempted this invocation (used by
 /// interrupt tests and incremental runs); cells beyond the limit are
-/// simply absent from this report, not errors.
+/// simply absent from this report, not errors. With a `cache`, cells
+/// an earlier sweep stored there are restored too, and every journaled
+/// or fresh cell is stored into it.
 ///
 /// Every result — journaled or fresh — passes through one JSON
 /// round-trip, so resumed and uninterrupted sweeps serialize
@@ -235,6 +239,7 @@ pub fn run_with(
     cells: &[(String, String)],
     journal: &mut Journal,
     limit: Option<usize>,
+    cache: Option<&ResultCache>,
     policy: &CellPolicy,
 ) -> DegradedReport {
     // Partition into journaled, cache-warm and missing cells. The
@@ -249,19 +254,13 @@ pub fn run_with(
         if let Some(json) = journal.get(&key) {
             let cell = serde_json::from_str(json).expect("journaled cell must deserialize");
             // Backfill the cache so journal-free runs also start warm.
-            if let Some(ck) = &ck {
-                crate::cache::with_global(|c| {
-                    if let Some(c) = c {
-                        let _ = c.put(ck, json);
-                    }
-                });
+            if let (Some(c), Some(ck)) = (cache, &ck) {
+                let _ = c.put(ck, json);
             }
             slots.push(Some(cell));
             continue;
         }
-        let cached = ck
-            .as_deref()
-            .and_then(|ck| crate::cache::with_global(|c| c.and_then(|c| c.get(ck))));
+        let cached = cache.zip(ck.as_deref()).and_then(|(c, ck)| c.get(ck));
         if let Some(json) = cached {
             if let Ok(cell) = serde_json::from_str::<DegradedCell>(&json) {
                 // Checkpoint the restored cell so `--resume` without the
@@ -295,12 +294,8 @@ pub fn run_with(
                 .expect("journal lock")
                 .record(key, &json)
                 .expect("journal append");
-            if let Some(ck) = cell_cache_key(device, regime, scale) {
-                crate::cache::with_global(|c| {
-                    if let Some(c) = c {
-                        let _ = c.put(&ck, &json);
-                    }
-                });
+            if let (Some(c), Some(ck)) = (cache, cell_cache_key(device, regime, scale)) {
+                let _ = c.put(&ck, &json);
             }
             // Round-trip so fresh results are byte-identical to restored
             // ones.
@@ -341,6 +336,7 @@ mod tests {
             &smoke_cells(),
             &mut Journal::in_memory(),
             None,
+            None,
             &CellPolicy::default(),
         );
         assert!(r.errors.is_empty(), "errors: {:?}", r.errors);
@@ -372,6 +368,7 @@ mod tests {
             &cells,
             &mut Journal::in_memory(),
             None,
+            None,
             &CellPolicy::default(),
         );
         assert_eq!(r.cells.len(), 1, "good cell still completes");
@@ -390,10 +387,24 @@ mod tests {
     fn journaled_rerun_skips_and_matches() {
         let cells = smoke_cells();
         let mut j = Journal::in_memory();
-        let a = run_with(Scale::Smoke, &cells, &mut j, None, &CellPolicy::default());
+        let a = run_with(
+            Scale::Smoke,
+            &cells,
+            &mut j,
+            None,
+            None,
+            &CellPolicy::default(),
+        );
         assert_eq!(j.len(), 3);
         // Second run restores everything from the journal.
-        let b = run_with(Scale::Smoke, &cells, &mut j, None, &CellPolicy::default());
+        let b = run_with(
+            Scale::Smoke,
+            &cells,
+            &mut j,
+            None,
+            None,
+            &CellPolicy::default(),
+        );
         assert_eq!(
             serde_json::to_string(&a).expect("a"),
             serde_json::to_string(&b).expect("b"),

@@ -38,6 +38,17 @@ pub enum Scale {
 }
 
 impl Scale {
+    /// Parses a `--scale` value or a campaign spec's `scale`; an
+    /// unknown name is an error naming the valid spellings.
+    pub fn parse(name: &str) -> Result<Self, String> {
+        match name {
+            "smoke" => Ok(Scale::Smoke),
+            "quick" => Ok(Scale::Quick),
+            "full" => Ok(Scale::Full),
+            other => Err(format!("unknown scale `{other}` (smoke|quick|full)")),
+        }
+    }
+
     /// Memory references per workload run.
     pub fn mem_refs(self) -> u64 {
         match self {

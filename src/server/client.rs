@@ -311,24 +311,7 @@ pub fn job_result(server: &str, id: &str) -> Result<Vec<u8>, ClientError> {
 /// the server). Transient connection failures are tolerated: the
 /// server may be mid-restart, which is precisely when waiting matters.
 ///
-/// The sleep between polls is fixed at `poll`; callers that want the
-/// sleep to grow while the job sits unchanged use
-/// [`wait_with_backoff`] (this is that function with `cap == base`).
-pub fn wait(
-    server: &str,
-    id: &str,
-    poll: Duration,
-    timeout: Duration,
-) -> Result<JobView, ClientError> {
-    let schedule = RetrySchedule {
-        max_retries: 0,
-        base: poll,
-        cap: poll,
-    };
-    wait_with_backoff(server, id, &schedule, timeout)
-}
-
-/// [`wait`] with capped exponential poll backoff: the sleep starts at
+/// Polls back off exponentially: the sleep starts at
 /// `schedule.base` and doubles up to `schedule.cap` while the job's
 /// observable state (status, journaled cells, progress) is unchanged,
 /// snapping back to the base the moment anything moves. Long quiet

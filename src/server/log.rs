@@ -7,7 +7,7 @@
 //! name plus `key=value` fields (job ids, durations).
 //!
 //! Format and minimum level are process-global atomics, matching how
-//! `exec`'s `--jobs` / `--fidelity` settings are wired: `melody serve
+//! `exec`'s `--jobs` setting is wired: `melody serve
 //! --log json` sets them once at startup, everything else just calls
 //! [`log`]. Text output is exactly `melody-serve: {message}` (with a
 //! `warning: ` prefix at [`Level::Warn`]), so default-format stderr is

@@ -429,3 +429,230 @@ fn campaign_json_with_telemetry_carries_exec_retry_counters() {
     assert!(stdout.contains("exec.cells_cancelled_total"), "{stdout}");
     let _ = std::fs::remove_file(&spec);
 }
+
+/// Runs `melody args`, killing it if it is still running after 60 s
+/// (a command that should have refused its flags but started a server
+/// or a long run instead). Returns the exit code, `None` when killed,
+/// and stderr.
+fn run_with_deadline(args: &[String]) -> (Option<i32>, String) {
+    use std::io::Read as _;
+    use std::process::Stdio;
+    use std::time::{Duration, Instant};
+
+    let mut child = melody()
+        .args(args)
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn melody");
+    let start = Instant::now();
+    let code = loop {
+        if let Some(status) = child.try_wait().expect("poll melody") {
+            break status.code();
+        }
+        if start.elapsed() > Duration::from_secs(60) {
+            let _ = child.kill();
+            let _ = child.wait();
+            break None;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let mut stderr = String::new();
+    let _ = child
+        .stderr
+        .take()
+        .expect("piped stderr")
+        .read_to_string(&mut stderr);
+    (code, stderr)
+}
+
+fn strings(args: &[&str]) -> Vec<String> {
+    args.iter().map(|a| a.to_string()).collect()
+}
+
+fn grid_quick() -> String {
+    format!("{}/datasets/grid_quick.json", env!("CARGO_MANIFEST_DIR"))
+}
+
+#[test]
+fn malformed_numeric_flag_values_exit_2_naming_flag_and_value() {
+    let state = tmp("numeric-flags-state");
+    let state = state.to_str().expect("utf8");
+    let trace_out = tmp("numeric-flags-trace.json");
+    let trace_out = trace_out.to_str().expect("utf8");
+    let spec = grid_quick();
+    let serve = ["serve", "--port", "0", "--state-dir", state, "--no-cache"];
+    let probe_policy = ["probe", "cxl-a", "--policy", "clock"];
+    let cases: Vec<(Vec<&str>, &str, &str)> = vec![
+        (vec!["run", "541.leela", "cxl-a"], "--refs", "2k"),
+        (
+            vec!["run", "541.leela", "cxl-a", "--json"],
+            "--windows",
+            "x",
+        ),
+        (
+            vec!["trace", "cxl-a", "--out", trace_out],
+            "--workloads",
+            "six",
+        ),
+        (vec!["mlc", "cxl-a"], "--delay", "fast"),
+        (vec!["mlc", "cxl-a"], "--requests", "1e3"),
+        (vec!["mlc", "cxl-a"], "--rw", "half"),
+        (probe_policy.to_vec(), "--page-bytes", "4k"),
+        (probe_policy.to_vec(), "--migrate-budget-gbps", "lots"),
+        (vec!["campaign", &spec, "--no-cache"], "--page-bytes", "4k"),
+        (vec!["diff", &spec, &spec], "--rel-tol", "1%"),
+        (vec!["diff", &spec, &spec], "--abs-tol", "tiny"),
+        (vec!["degraded"], "--limit", "all"),
+        (serve.to_vec(), "--queue-depth", "abc"),
+        (serve.to_vec(), "--admission-limit", "-1"),
+        (serve.to_vec(), "--max-attempts", "3.5"),
+    ];
+    for (base, name, value) in cases {
+        let mut args = strings(&base);
+        args.extend(strings(&[name, value]));
+        let (code, stderr) = run_with_deadline(&args);
+        assert_eq!(code, Some(2), "melody {args:?}: {stderr}");
+        assert!(
+            stderr.contains(name) && stderr.contains(value),
+            "melody {args:?} must name {name} and `{value}`: {stderr}"
+        );
+    }
+    assert!(
+        !std::path::Path::new(trace_out).exists(),
+        "a refused trace writes nothing"
+    );
+    let _ = std::fs::remove_dir_all(state);
+}
+
+#[test]
+fn serve_rejects_the_fidelity_flag_with_exit_2() {
+    let state = tmp("serve-fidelity-state");
+    let (code, stderr) = run_with_deadline(&strings(&[
+        "--fidelity",
+        "fast",
+        "serve",
+        "--port",
+        "0",
+        "--state-dir",
+        state.to_str().expect("utf8"),
+        "--no-cache",
+    ]));
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("--fidelity"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&state);
+}
+
+#[test]
+fn trace_rejects_the_cache_flag_with_exit_2() {
+    let cache = tmp("trace-cache");
+    let out = tmp("trace-cache-out.json");
+    let (code, stderr) = run_with_deadline(&strings(&[
+        "--cache",
+        cache.to_str().expect("utf8"),
+        "trace",
+        "cxl-a",
+        "--workloads",
+        "1",
+        "--out",
+        out.to_str().expect("utf8"),
+    ]));
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("--cache"), "{stderr}");
+    assert!(!cache.exists(), "a refused command opens no cache");
+    assert!(!out.exists(), "a refused trace writes nothing");
+    let _ = std::fs::remove_dir_all(&cache);
+    let _ = std::fs::remove_file(&out);
+}
+
+#[test]
+fn other_commands_reject_tier_and_cache_flags_with_exit_2() {
+    let cache = tmp("other-cache");
+    let cache = cache.to_str().expect("utf8");
+    let spec = grid_quick();
+    let cases: Vec<(Vec<&str>, &str)> = vec![
+        (
+            vec![
+                "submit",
+                &spec,
+                "--fidelity",
+                "fast",
+                "--server",
+                "127.0.0.1:9",
+            ],
+            "--fidelity",
+        ),
+        (vec!["mlc", "cxl-c", "--cache", cache], "--cache"),
+        (
+            vec!["run", "541.leela", "cxl-a", "--no-cache"],
+            "--no-cache",
+        ),
+        (
+            vec!["degraded", "--sample-period", "4096"],
+            "--sample-period",
+        ),
+        (
+            vec!["probe", "cxl-a", "--sample-warmup", "0"],
+            "--sample-warmup",
+        ),
+        (vec!["status", "--sample-window", "64"], "--sample-window"),
+    ];
+    for (args, name) in cases {
+        let args = strings(&args);
+        let (code, stderr) = run_with_deadline(&args);
+        assert_eq!(code, Some(2), "melody {args:?}: {stderr}");
+        assert!(stderr.contains(name), "melody {args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(cache);
+}
+
+#[test]
+fn campaign_tier_flags_fill_only_what_the_spec_omits() {
+    let campaign_json = |name: &str, tier: &str, flags: &[&str]| -> String {
+        let spec = tmp(name);
+        std::fs::write(
+            &spec,
+            format!(
+                r#"{{"name":"tier","platforms":["emr2s"],"devices":["cxl-a"],"workloads":["541.leela"],"mem_refs":4000{tier}}}"#
+            ),
+        )
+        .expect("write spec");
+        let mut args = strings(&[
+            "campaign",
+            spec.to_str().expect("utf8"),
+            "--json",
+            "--no-cache",
+        ]);
+        args.extend(strings(flags));
+        let out = melody().args(&args).output().expect("run melody");
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let _ = std::fs::remove_file(&spec);
+        String::from_utf8(out.stdout).expect("utf8")
+    };
+    // A flag fills an omitted field; `--sample-warmup 0` is zero slots.
+    let flagged = campaign_json(
+        "tier-flagged.json",
+        "",
+        &["--fidelity", "sampled", "--sample-warmup", "0"],
+    );
+    let written = campaign_json(
+        "tier-written.json",
+        r#","fidelity":"sampled","sample_warmup":0"#,
+        &[],
+    );
+    assert_eq!(flagged, written);
+    // A field the spec sets wins over the flag.
+    let pinned = campaign_json(
+        "tier-pinned.json",
+        r#","fidelity":"detailed""#,
+        &["--fidelity", "fast"],
+    );
+    let plain = campaign_json("tier-plain.json", "", &[]);
+    assert_eq!(pinned, plain);
+    assert_ne!(flagged, plain, "the sampled tier changes the report");
+}

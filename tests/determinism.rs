@@ -1,8 +1,26 @@
 //! End-to-end determinism: identical inputs produce bit-identical
 //! results across the whole stack, and different seeds genuinely differ.
 
+use std::sync::Mutex;
+
 use melody::prelude::*;
 use melody_workloads::mlc::{loaded_latency, MlcConfig};
+
+/// Serializes the tests that sweep the process-wide worker count, so
+/// each sweep runs at the count it names rather than one a concurrent
+/// test set or restored.
+static JOBS_LOCK: Mutex<()> = Mutex::new(());
+
+/// Runs `f` with `jobs` workers in force, then restores the default.
+fn with_jobs<R>(jobs: usize, f: impl FnOnce() -> R) -> R {
+    // The lock guards no data, so one failed sweep must not poison the
+    // others.
+    let _guard = JOBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    melody::exec::set_jobs(jobs);
+    let r = f();
+    melody::exec::set_jobs(0);
+    r
+}
 
 #[test]
 fn full_stack_run_is_deterministic() {
@@ -55,10 +73,9 @@ fn parallel_population_is_byte_identical_to_serial() {
     for target in [presets::cxl_a(), presets::cxl_c()] {
         let serial = run_population(&platform, &presets::local_emr(), &target, &workloads, &opts);
         for jobs in [1, 2, 5] {
-            melody::exec::set_jobs(jobs);
-            let par =
-                run_population_par(&platform, &presets::local_emr(), &target, &workloads, &opts);
-            melody::exec::set_jobs(0);
+            let par = with_jobs(jobs, || {
+                run_population_par(&platform, &presets::local_emr(), &target, &workloads, &opts)
+            });
             assert_eq!(
                 serde_json::to_string(&serial).expect("serialize serial"),
                 serde_json::to_string(&par).expect("serialize parallel"),
@@ -95,9 +112,9 @@ fn inert_fault_config_is_byte_identical_to_baseline_across_jobs() {
     ))
     .expect("serialize baseline");
     for jobs in [1, 4] {
-        melody::exec::set_jobs(jobs);
-        let got = run_population_par(&platform, &presets::local_emr(), &inert, &workloads, &opts);
-        melody::exec::set_jobs(0);
+        let got = with_jobs(jobs, || {
+            run_population_par(&platform, &presets::local_emr(), &inert, &workloads, &opts)
+        });
         assert_eq!(
             reference,
             serde_json::to_string(&got).expect("serialize inert"),
@@ -122,9 +139,9 @@ fn fault_regime_is_byte_identical_across_worker_counts() {
     let target = presets::cxl_c().with_faults(melody_mem::FaultConfig::harsh());
     let mut outputs = Vec::new();
     for jobs in [1, 4] {
-        melody::exec::set_jobs(jobs);
-        let got = run_population_par(&platform, &presets::local_emr(), &target, &workloads, &opts);
-        melody::exec::set_jobs(0);
+        let got = with_jobs(jobs, || {
+            run_population_par(&platform, &presets::local_emr(), &target, &workloads, &opts)
+        });
         // The regime must actually fire, or this test guards nothing.
         assert!(
             got.iter().any(|o| !o.target.device_stats.ras.is_zero()),

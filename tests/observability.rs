@@ -8,7 +8,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use melody::server::api::JobStatus;
-use melody::server::client;
+use melody::server::client::{self, RetrySchedule};
 use melody::server::{ServeConfig, Server, ServerHandle};
 use melody_telemetry::prom;
 
@@ -34,13 +34,13 @@ fn start(cfg: ServeConfig) -> (ServerHandle, String) {
 }
 
 fn wait_done(addr: &str, job: &str) -> melody::server::api::JobView {
-    client::wait(
-        addr,
-        job,
-        Duration::from_millis(25),
-        Duration::from_secs(120),
-    )
-    .expect("job finishes")
+    let poll = Duration::from_millis(25);
+    let schedule = RetrySchedule {
+        max_retries: 0,
+        base: poll,
+        cap: poll,
+    };
+    client::wait_with_backoff(addr, job, &schedule, Duration::from_secs(120)).expect("job finishes")
 }
 
 /// Extracts the value of an unlabelled series from an exposition

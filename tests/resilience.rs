@@ -31,6 +31,7 @@ fn interrupted_sweep_resumes_byte_identical() {
         &cells,
         &mut Journal::in_memory(),
         None,
+        None,
         &CellPolicy::default(),
     );
     let reference = serde_json::to_string(&uninterrupted).expect("serialize reference");
@@ -46,6 +47,7 @@ fn interrupted_sweep_resumes_byte_identical() {
             &cells,
             &mut journal,
             Some(2),
+            None,
             &CellPolicy::default(),
         );
         assert_eq!(partial.cells.len(), 2, "limit caps attempted cells");
@@ -60,6 +62,7 @@ fn interrupted_sweep_resumes_byte_identical() {
         Scale::Smoke,
         &cells,
         &mut journal,
+        None,
         None,
         &CellPolicy::default(),
     );
@@ -83,6 +86,7 @@ fn panicking_cell_leaves_the_rest_of_the_sweep_intact() {
         Scale::Smoke,
         &cells,
         &mut Journal::in_memory(),
+        None,
         None,
         &CellPolicy::default(),
     );
@@ -113,6 +117,7 @@ fn retry_policy_is_applied_per_cell() {
         Scale::Smoke,
         &cells,
         &mut Journal::in_memory(),
+        None,
         None,
         &CellPolicy::default().with_attempts(3),
     );

@@ -35,13 +35,13 @@ fn start(cfg: ServeConfig) -> (ServerHandle, String) {
 }
 
 fn wait_done(addr: &str, job: &str) -> melody::server::api::JobView {
-    client::wait(
-        addr,
-        job,
-        Duration::from_millis(25),
-        Duration::from_secs(120),
-    )
-    .expect("job finishes")
+    let poll = Duration::from_millis(25);
+    let schedule = RetrySchedule {
+        max_retries: 0,
+        base: poll,
+        cap: poll,
+    };
+    client::wait_with_backoff(addr, job, &schedule, Duration::from_secs(120)).expect("job finishes")
 }
 
 #[test]
@@ -459,13 +459,14 @@ fn sigterm_kill_and_restart_serves_bytes_identical_to_direct_run() {
 
     // Leg 2: restart on the same state dir; the job must converge.
     let (mut child2, addr2) = spawn_server();
-    let view = client::wait(
-        &addr2,
-        &job,
-        Duration::from_millis(50),
-        Duration::from_secs(120),
-    )
-    .expect("job finishes after restart");
+    let poll = Duration::from_millis(50);
+    let schedule = RetrySchedule {
+        max_retries: 0,
+        base: poll,
+        cap: poll,
+    };
+    let view = client::wait_with_backoff(&addr2, &job, &schedule, Duration::from_secs(120))
+        .expect("job finishes after restart");
     assert_eq!(view.status, JobStatus::Done, "{view:?}");
     let stats = view.stats.expect("stats");
     assert_eq!(
