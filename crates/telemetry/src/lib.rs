@@ -19,10 +19,11 @@
 //!    because host time is nondeterministic; the harness prints them to
 //!    stderr.
 //!
-//! The whole subsystem is gated on one global [`Mode`] byte: when
-//! [`Mode::Off`] (the default), every hook is a single relaxed atomic
-//! load and branch, benchmarked at <1% simulator overhead, and output is
-//! byte-identical to a build without the hooks.
+//! The whole subsystem is gated on one global [`Mode`] byte, which a
+//! thread may raise for itself alone ([`with_thread_mode`]): when
+//! [`Mode::Off`] (the default), every hook is a relaxed atomic load, a
+//! thread-local load and a branch, benchmarked at <1% simulator
+//! overhead, and output is byte-identical to a build without the hooks.
 
 #![warn(missing_docs)]
 
@@ -39,7 +40,7 @@ pub use export::{GaugeExport, GaugePoint, HistSummary, TelemetryExport};
 pub use metrics::{GaugeSeries, GaugeWindow, MetricsRegistry};
 pub use span::{Profile, SpanStack, SpanStat};
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -78,10 +79,17 @@ pub fn set_mode(mode: Mode) {
     MODE.store(mode as u8, Ordering::Relaxed);
 }
 
-/// Current collection level.
+/// The level in force on the calling thread: the global level, raised
+/// by [`with_thread_mode`] while it runs.
+#[inline]
+fn level() -> u8 {
+    MODE.load(Ordering::Relaxed).max(FORCED.with(Cell::get))
+}
+
+/// Current collection level on the calling thread.
 #[inline]
 pub fn mode() -> Mode {
-    match MODE.load(Ordering::Relaxed) {
+    match level() {
         0 => Mode::Off,
         1 => Mode::Metrics,
         _ => Mode::Trace,
@@ -91,13 +99,29 @@ pub fn mode() -> Mode {
 /// True when metrics (and spans) are being collected.
 #[inline]
 pub fn metrics_on() -> bool {
-    MODE.load(Ordering::Relaxed) != 0
+    level() != 0
 }
 
 /// True when trace events are being collected.
 #[inline]
 pub fn trace_on() -> bool {
-    MODE.load(Ordering::Relaxed) >= Mode::Trace as u8
+    level() >= Mode::Trace as u8
+}
+
+/// Runs `f` with collection at `mode` or above on the calling thread
+/// only, then restores the thread's previous level (also if `f`
+/// panics). The global level ([`set_mode`]) is never written, so
+/// concurrent callers on other threads cannot undo each other; work `f`
+/// hands to other threads runs at their own level.
+pub fn with_thread_mode<R>(mode: Mode, f: impl FnOnce() -> R) -> R {
+    struct Reset(u8);
+    impl Drop for Reset {
+        fn drop(&mut self) {
+            FORCED.with(|c| c.set(self.0));
+        }
+    }
+    let _reset = Reset(FORCED.with(|c| c.replace(c.get().max(mode as u8))));
+    f()
 }
 
 /// Sets the per-cell trace ring capacity (events); applies to rings
@@ -140,6 +164,8 @@ impl Default for Local {
 
 thread_local! {
     static LOCAL: RefCell<Local> = RefCell::new(Local::default());
+    /// The level [`with_thread_mode`] forces on this thread (0: none).
+    static FORCED: Cell<u8> = const { Cell::new(0) };
 }
 
 /// Records a trace event (no-op unless [`trace_on`]).
@@ -445,6 +471,22 @@ mod tests {
         set_mode(Mode::Off);
         let got: Vec<(u32, u64)> = c.events.iter().map(|(t, e)| (*t, e.ts_ps)).collect();
         assert_eq!(got, vec![(0, 0), (1, 0), (2, 1), (3, 2)]);
+    }
+
+    #[test]
+    fn thread_mode_is_local_to_its_thread_and_restored() {
+        let _g = GATE.lock().unwrap();
+        set_mode(Mode::Off);
+        let inner = with_thread_mode(Mode::Trace, || {
+            let other = std::thread::spawn(mode).join().unwrap();
+            (mode(), other)
+        });
+        assert_eq!(inner, (Mode::Trace, Mode::Off));
+        assert_eq!(mode(), Mode::Off);
+        let r =
+            std::panic::catch_unwind(|| with_thread_mode(Mode::Metrics, || panic!("cell died")));
+        assert!(r.is_err());
+        assert_eq!(mode(), Mode::Off, "restored on unwind");
     }
 
     #[test]

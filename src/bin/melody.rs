@@ -166,18 +166,25 @@ fn apply_faults(spec: DeviceSpec, args: &[String]) -> DeviceSpec {
 /// output stays byte-identical to a policy-free invocation.
 /// `--page-bytes N` and `--migrate-budget-gbps X` tune the config;
 /// an unknown policy or invalid knob exits 2 naming every valid
-/// spelling, the same convention fault and topology validation use.
+/// spelling, the same convention fault and topology validation use, and
+/// either knob without an adaptive policy exits 2 naming the knob.
 fn apply_policy(spec: DeviceSpec, args: &[String], local: &DeviceSpec) -> DeviceSpec {
-    let Some(name) = flag(args, "--policy") else {
+    let kind = flag(args, "--policy").map(|name| {
+        PolicyKind::parse(&name).unwrap_or_else(|| {
+            eprintln!("{}", melody_mem::policy::unknown_policy_error(&name));
+            std::process::exit(2);
+        })
+    });
+    let Some(kind) = kind.filter(|&k| k != PolicyKind::Static) else {
+        // The tiering knobs only shape an adaptive policy's wrapper.
+        for knob in ["--page-bytes", "--migrate-budget-gbps"] {
+            if args.iter().any(|a| a == knob) {
+                eprintln!("{knob} needs an adaptive --policy (not static)");
+                std::process::exit(2);
+            }
+        }
         return spec;
     };
-    let Some(kind) = PolicyKind::parse(&name) else {
-        eprintln!("{}", melody_mem::policy::unknown_policy_error(&name));
-        std::process::exit(2);
-    };
-    if kind == PolicyKind::Static {
-        return spec;
-    }
     let mut tc = TieringConfig::new(kind);
     if let Some(p) = flag_num(args, "--page-bytes") {
         tc.page_bytes = p;
@@ -1043,6 +1050,7 @@ fn cmd_campaign(args: &[String], flags: &RunFlags, cache: Option<&ResultCache>) 
     // Resolution provenance differs between warm/cold/resumed runs, so
     // it goes to stderr; stdout stays byte-comparable.
     eprintln!("{}", run.stats.render());
+    eprintln!("{}", run.stats.render_runs());
     let report = run.report;
     if args.iter().any(|a| a == "--json") {
         if melody_telemetry::metrics_on() {

@@ -37,7 +37,7 @@ use crate::exec::{run_cells, CellError, CellPolicy};
 use crate::experiments::Scale;
 use crate::journal::Journal;
 use crate::report::TableData;
-use crate::runner::{run_pair, PairOutcome, RunOptions};
+use crate::runner::{pair_pieces, PairOutcome, RunIds, RunOptions, SharedRuns};
 
 /// Version stamp of the campaign's cached result payloads (the
 /// serialized [`PairOutcome`] plus derived row schema). Mixed into every
@@ -113,13 +113,13 @@ pub fn pair_config_json(
     workload: &WorkloadSpec,
     opts: &RunOptions,
 ) -> String {
+    pair_config(&pair_pieces(platform, local, target, workload, opts))
+}
+
+/// [`pair_config_json`] from its canonical JSON pieces.
+fn pair_config([platform, local, target, workload, opts]: &[String; 5]) -> String {
     format!(
-        "{{\"platform\":{},\"local\":{},\"target\":{},\"workload\":{},\"opts\":{}}}",
-        serde_json::to_string(platform).expect("Platform serializes"),
-        local.canonical_json(),
-        target.canonical_json(),
-        workload.canonical_json(),
-        serde_json::to_string(opts).expect("RunOptions serializes"),
+        "{{\"platform\":{platform},\"local\":{local},\"target\":{target},\"workload\":{workload},\"opts\":{opts}}}"
     )
 }
 
@@ -298,6 +298,7 @@ impl CampaignSpec {
             axis.push((fabric.name().to_string(), fabric.lower()));
         }
         let mut cells = Vec::new();
+        let mut runs = RunIds::default();
         for pname in &self.platforms {
             let platform = platform_by_name(pname).ok_or_else(|| {
                 format!("unknown platform `{pname}` (spr2s|emr2s|emr2s-prime|skx2s|skx8s)")
@@ -329,11 +330,11 @@ impl CampaignSpec {
                             Some(tc) => faulted.clone().with_tiering(tc.clone(), local.clone()),
                         };
                         for w in &workloads {
-                            let config = pair_config_json(&platform, &local, &target, w, &opts);
-                            let key = cell_fingerprint("pair", &config);
+                            let pieces = pair_pieces(&platform, &local, &target, w, &opts);
                             cells.push(CampaignCell {
                                 index: cells.len(),
-                                key,
+                                key: cell_fingerprint("pair", &pair_config(&pieces)),
+                                runs: runs.pair(&pieces),
                                 platform_name: pname.clone(),
                                 device_name: dname.clone(),
                                 fault_name: fname.clone(),
@@ -379,6 +380,9 @@ pub struct CampaignCell {
     pub workload: WorkloadSpec,
     /// Run options.
     pub opts: RunOptions,
+    /// Ids of the cell's `[local, target]` runs: cells of one expansion
+    /// share an id exactly when they share that run's inputs.
+    pub runs: [usize; 2],
 }
 
 impl CampaignCell {
@@ -495,6 +499,14 @@ pub struct CampaignRunStats {
     /// Cells that failed (panic/deadline) and appear in
     /// [`CampaignReport::errors`].
     pub failed: usize,
+    /// Distinct runs simulated for the simulated cells: at most two per
+    /// cell, fewer when cells share a run (see [`CampaignCell::runs`]).
+    #[serde(default)]
+    pub runs_simulated: usize,
+    /// Runs a cell took from another cell's simulation instead of
+    /// simulating them.
+    #[serde(default)]
+    pub runs_reused: usize,
 }
 
 impl CampaignRunStats {
@@ -509,6 +521,15 @@ impl CampaignRunStats {
             self.simulated,
             self.cancelled,
             self.failed
+        )
+    }
+
+    /// One-line render of the run sharing, for stderr beside
+    /// [`CampaignRunStats::render`].
+    pub fn render_runs(&self) -> String {
+        format!(
+            "campaign runs: {} simulated, {} reused",
+            self.runs_simulated, self.runs_reused
         )
     }
 }
@@ -716,16 +737,20 @@ pub fn run_campaign(
     }
 
     // Pass 2: simulate the misses, checkpointing each as it completes.
+    // Cells that share a run (a platform's local baseline, above all)
+    // simulate it once between them.
+    let shared = SharedRuns::new(todo.iter().map(|c| c.runs).collect(), policy);
+    let numbered: Vec<(usize, &CampaignCell)> = todo.iter().copied().enumerate().collect();
     let journal_mx = Mutex::new(journal);
     let results = run_cells(
-        &todo,
+        &numbered,
         policy,
-        |_, cell| cell.label(),
-        |cell| {
-            let o = run_pair(
+        |_, (_, cell)| cell.label(),
+        |&(i, cell)| {
+            let o = shared.pair(
+                i,
                 &cell.platform,
-                &cell.local,
-                &cell.target,
+                [&cell.local, &cell.target],
                 &cell.workload,
                 &cell.opts,
             );
@@ -742,6 +767,11 @@ pub fn run_campaign(
             serde_json::from_str::<PairOutcome>(&json).expect("outcome round-trips")
         },
     );
+    stats.runs_simulated = shared.simulated();
+    stats.runs_reused = shared.reused();
+    if melody_telemetry::metrics_on() {
+        melody_telemetry::count("campaign.runs_reused", stats.runs_reused as u64);
+    }
 
     let mut errors = Vec::new();
     let todo_slots: Vec<usize> = slots

@@ -58,14 +58,16 @@ fn cell_capture<R>(index: usize, f: impl FnOnce() -> R) -> (R, CellTelemetry) {
     })
 }
 
-/// Runs `f` with tracing forced on, capturing its telemetry privately,
-/// and restores the previous telemetry mode afterwards.
+/// Runs `f` with tracing forced on for the calling thread, capturing its
+/// telemetry privately.
 ///
 /// This is how `melody run --json` gets the trace events the insight
 /// timeline correlates without requiring the user to pass `--telemetry
 /// trace` (and without leaking the forced mode into the rest of the
 /// process): the closure's events, overflow count, and metrics registry
-/// come back directly instead of going to the global sink.
+/// come back directly instead of going to the global sink. The forced
+/// mode is the thread's own ([`melody_telemetry::with_thread_mode`]), so
+/// cells traced concurrently on several workers cannot undo each other.
 pub fn traced<R>(
     f: impl FnOnce() -> R,
 ) -> (
@@ -74,10 +76,9 @@ pub fn traced<R>(
     u64,
     melody_telemetry::MetricsRegistry,
 ) {
-    let prev = melody_telemetry::mode();
-    melody_telemetry::set_mode(melody_telemetry::Mode::Trace);
-    let (r, cell) = melody_telemetry::capture(f);
-    melody_telemetry::set_mode(prev);
+    let (r, cell) = melody_telemetry::with_thread_mode(melody_telemetry::Mode::Trace, || {
+        melody_telemetry::capture(f)
+    });
     let (events, dropped, metrics) = cell.into_parts();
     (r, events, dropped, metrics)
 }

@@ -8,8 +8,9 @@ use melody_spa::{accuracy, prefetch, AccuracyReport};
 use melody_stats::{Cdf, ViolinSummary};
 use serde::{Deserialize, Serialize};
 
+use crate::exec::CellPolicy;
 use crate::report::{Series, TableData};
-use crate::runner::{run_pair, PairOutcome, RunOptions};
+use crate::runner::{pair_pieces, PairOutcome, RunIds, RunOptions, SharedRuns};
 use crate::testbed::{emr_cxl_setups, full_latency_spectrum, spr_cxl_setups, Setup};
 
 use super::Scale;
@@ -172,7 +173,9 @@ impl GridData {
 /// fanned out over the configured worker pool ([`crate::exec::jobs`]),
 /// so all cores stay busy even when there are fewer setups than cores.
 /// Each cell's RNG seed derives from its identity alone, so the output
-/// is identical to the serial nested loop for any worker count.
+/// is identical to the serial nested loop for any worker count. Setups
+/// that share a local baseline simulate it once per workload
+/// ([`SharedRuns`]).
 pub fn run_grid(setups: &[Setup], scale: Scale) -> GridData {
     let workloads = scale.select_workloads();
     let opts = RunOptions {
@@ -183,8 +186,16 @@ pub fn run_grid(setups: &[Setup], scale: Scale) -> GridData {
         .iter()
         .flat_map(|s| workloads.iter().map(move |w| (s, w)))
         .collect();
-    let outcomes = crate::exec::parallel_map(&flat, |(s, w)| {
-        run_pair(&s.platform, &s.local, &s.target, w, &opts)
+    let mut ids = RunIds::default();
+    let runs = flat
+        .iter()
+        .map(|(s, w)| ids.pair(&pair_pieces(&s.platform, &s.local, &s.target, w, &opts)))
+        .collect();
+    let shared = SharedRuns::new(runs, &CellPolicy::default());
+    let numbered: Vec<(usize, &(&Setup, &melody_workloads::WorkloadSpec))> =
+        flat.iter().enumerate().collect();
+    let outcomes = crate::exec::parallel_map(&numbered, |&(i, (s, w))| {
+        shared.pair(i, &s.platform, [&s.local, &s.target], w, &opts)
     });
     let mut rest = outcomes.as_slice();
     let cells = setups

@@ -1,11 +1,18 @@
 //! Workload execution: single runs, local-vs-target pairs, and
 //! populations.
 
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
+
 use melody_cpu::{Core, CoreConfig, Fidelity, Platform, RunResult, SamplingParams};
 use melody_mem::{DeviceSpec, GuideWindow, PolicyKind};
 use melody_spa::{breakdown, Breakdown, BreakdownStream};
 use melody_workloads::{SlotStream, Suite, WorkloadSpec};
 use serde::{Deserialize, Serialize};
+
+use crate::exec::CellPolicy;
 
 /// Options for one workload run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -245,15 +252,320 @@ pub fn run_pair(
         let _span = melody_telemetry::span("run_pair.target");
         run_workload(platform, target_spec, workload, opts)
     };
-    let slowdown = target.slowdown_vs(&local);
-    let breakdown = breakdown(&local.counters, &target.counters);
+    pair_outcome(workload, local, target)
+}
+
+/// Assembles the outcome of `workload`'s baseline and target runs: the
+/// measured slowdown and its Spa breakdown.
+fn pair_outcome(workload: &WorkloadSpec, local: RunResult, target: RunResult) -> PairOutcome {
     PairOutcome {
         workload: workload.name.clone(),
         suite: workload.suite,
-        slowdown,
-        breakdown,
+        slowdown: target.slowdown_vs(&local),
+        breakdown: breakdown(&local.counters, &target.counters),
         local,
         target,
+    }
+}
+
+/// The canonical JSON of a pair's inputs, in the order `[platform,
+/// local, target, workload, opts]`: the pieces of a campaign cell's
+/// fingerprint and of both its runs' identities ([`RunIds`]).
+pub(crate) fn pair_pieces(
+    platform: &Platform,
+    local: &DeviceSpec,
+    target: &DeviceSpec,
+    workload: &WorkloadSpec,
+    opts: &RunOptions,
+) -> [String; 5] {
+    [
+        serde_json::to_string(platform).expect("Platform serializes"),
+        local.canonical_json(),
+        target.canonical_json(),
+        workload.canonical_json(),
+        serde_json::to_string(opts).expect("RunOptions serializes"),
+    ]
+}
+
+/// Numbers the distinct runs among a set of pairs.
+///
+/// A run's identity is its (platform, device spec, workload, options),
+/// compared as the canonical JSON the campaign fingerprint hashes. The
+/// simulator is deterministic in exactly these inputs, so two runs with
+/// one identity produce the same [`RunResult`], and [`SharedRuns`] may
+/// simulate it once for both.
+#[derive(Default)]
+pub(crate) struct RunIds {
+    pieces: HashMap<String, u32>,
+    runs: HashMap<[u32; 4], usize>,
+}
+
+impl RunIds {
+    /// The ids of a pair's `[local, target]` runs, from its
+    /// [`pair_pieces`].
+    pub(crate) fn pair(&mut self, pieces: &[String; 5]) -> [usize; 2] {
+        let [platform, local, target, workload, opts] =
+            [0, 1, 2, 3, 4].map(|i| self.piece(&pieces[i]));
+        [
+            self.run([platform, local, workload, opts]),
+            self.run([platform, target, workload, opts]),
+        ]
+    }
+
+    fn piece(&mut self, json: &str) -> u32 {
+        if let Some(&id) = self.pieces.get(json) {
+            return id;
+        }
+        let id = self.pieces.len() as u32;
+        self.pieces.insert(json.to_owned(), id);
+        id
+    }
+
+    fn run(&mut self, pieces: [u32; 4]) -> usize {
+        let next = self.runs.len();
+        *self.runs.entry(pieces).or_insert(next)
+    }
+}
+
+/// How long a waiting pair sleeps between checks for an owner that was
+/// cancelled or overran its deadline (a published result wakes it at
+/// once).
+const OWNER_POLL: Duration = Duration::from_millis(5);
+
+/// The distinct runs of one fan-out of pairs, each simulated once and
+/// handed to every pair that needs it.
+///
+/// Pairs are numbered in the order the fan-out claims them
+/// ([`crate::exec::run_cells`] and [`crate::exec::parallel_map`] both
+/// claim in index order). The lowest-numbered pair that needs a run owns
+/// it: the owner simulates the run inside its own cell, so trace events
+/// and metrics land in the same cell at any worker count, and later
+/// pairs wait for its result. An owner is always claimed before its
+/// waiters, so the wait cannot deadlock. If the owner ends without a
+/// result (it panicked, overran the policy's deadline, or was cancelled
+/// before it started) a waiter simulates the run itself. A stored result
+/// is dropped when the last pair that needs it has taken it.
+pub(crate) struct SharedRuns {
+    pairs: Vec<[usize; 2]>,
+    slots: Vec<Slot>,
+    cancel: Option<Arc<AtomicBool>>,
+    deadline: Option<Duration>,
+    simulated: AtomicUsize,
+    reused: AtomicUsize,
+}
+
+/// One distinct run of a [`SharedRuns`].
+struct Slot {
+    owner: usize,
+    share: Mutex<Share>,
+    changed: Condvar,
+}
+
+struct Share {
+    state: State,
+    /// Takes still to come; the result is dropped when it reaches 0.
+    uses: usize,
+}
+
+enum State {
+    /// The owner has not started.
+    Pending,
+    /// The owner's pair started at this instant.
+    Running(Instant),
+    /// Published by the owner, kept for the remaining uses.
+    Ready(Arc<RunResult>),
+    /// No result will be published: the owner failed, or every planned
+    /// use has been served. A pair that needs the run simulates it.
+    Gone,
+}
+
+impl SharedRuns {
+    /// Plans the runs of `pairs` (each pair's `[local, target]` run ids
+    /// from [`RunIds`]), waiting on owners under `policy`'s cancellation
+    /// token and deadline.
+    pub(crate) fn new(pairs: Vec<[usize; 2]>, policy: &CellPolicy) -> Self {
+        let n = pairs.iter().flatten().max().map_or(0, |&id| id + 1);
+        let mut plan: Vec<(usize, usize)> = vec![(usize::MAX, 0); n];
+        for (i, ids) in pairs.iter().enumerate() {
+            for &id in ids {
+                let (owner, uses) = &mut plan[id];
+                *owner = (*owner).min(i);
+                *uses += 1;
+            }
+        }
+        let slots = plan
+            .into_iter()
+            .map(|(owner, uses)| Slot {
+                owner,
+                share: Mutex::new(Share {
+                    state: State::Pending,
+                    uses,
+                }),
+                changed: Condvar::new(),
+            })
+            .collect();
+        Self {
+            pairs,
+            slots,
+            cancel: policy.cancel.clone(),
+            deadline: policy.deadline,
+            simulated: AtomicUsize::new(0),
+            reused: AtomicUsize::new(0),
+        }
+    }
+
+    /// Pair `i`'s outcome: [`run_pair`] on these inputs, simulating only
+    /// the runs no other pair has simulated for it.
+    pub(crate) fn pair(
+        &self,
+        i: usize,
+        platform: &Platform,
+        specs: [&DeviceSpec; 2],
+        workload: &WorkloadSpec,
+        opts: &RunOptions,
+    ) -> PairOutcome {
+        self.pair_with(i, workload, |side| {
+            let _span = melody_telemetry::span(["run_pair.local", "run_pair.target"][side]);
+            run_workload(platform, specs[side], workload, opts)
+        })
+    }
+
+    /// [`SharedRuns::pair`] over a run function: `simulate(0)` is the
+    /// baseline run, `simulate(1)` the target run.
+    fn pair_with(
+        &self,
+        i: usize,
+        workload: &WorkloadSpec,
+        simulate: impl Fn(usize) -> RunResult,
+    ) -> PairOutcome {
+        let _owner = Owner::start(self, i);
+        let [local, target] =
+            [0, 1].map(|side| self.take(self.pairs[i][side], i, || simulate(side)));
+        pair_outcome(workload, local, target)
+    }
+
+    /// Runs simulated (by owners and by waiters that gave up on one).
+    pub(crate) fn simulated(&self) -> usize {
+        self.simulated.load(Ordering::Relaxed)
+    }
+
+    /// Runs served from another pair's simulation.
+    pub(crate) fn reused(&self) -> usize {
+        self.reused.load(Ordering::Relaxed)
+    }
+
+    /// Run `id` for pair `i`: taken from its owner, simulated and
+    /// published (by the owner), or simulated privately (when no result
+    /// will come).
+    fn take(&self, id: usize, i: usize, simulate: impl FnOnce() -> RunResult) -> RunResult {
+        let slot = &self.slots[id];
+        let mut share = lock(&slot.share);
+        loop {
+            match share.state {
+                State::Ready(_) => {
+                    self.reused.fetch_add(1, Ordering::Relaxed);
+                    return use_ready(share);
+                }
+                State::Pending | State::Running(_) if slot.owner == i => {
+                    drop(share);
+                    let r = Arc::new(self.simulate(simulate));
+                    let mut share = lock(&slot.share);
+                    share.state = State::Ready(r);
+                    slot.changed.notify_all();
+                    return use_ready(share);
+                }
+                State::Gone => break,
+                State::Running(since) if self.deadline.is_some_and(|d| since.elapsed() >= d) => {
+                    break
+                }
+                State::Pending
+                    if self
+                        .cancel
+                        .as_ref()
+                        .is_some_and(|c| c.load(Ordering::Relaxed)) =>
+                {
+                    break
+                }
+                _ => {
+                    share = slot
+                        .changed
+                        .wait_timeout(share, OWNER_POLL)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0
+                }
+            }
+        }
+        share.uses = share.uses.saturating_sub(1);
+        drop(share);
+        self.simulate(simulate)
+    }
+
+    fn simulate(&self, f: impl FnOnce() -> RunResult) -> RunResult {
+        let r = f();
+        self.simulated.fetch_add(1, Ordering::Relaxed);
+        r
+    }
+
+    /// The slots of the runs pair `pair` owns.
+    fn owned(&self, pair: usize) -> impl Iterator<Item = &Slot> {
+        self.pairs[pair]
+            .iter()
+            .map(|&id| &self.slots[id])
+            .filter(move |slot| slot.owner == pair)
+    }
+}
+
+/// Locks a slot. Every update of a `Share` is a single assignment, so a
+/// panic elsewhere cannot leave one half-written: a poisoned lock is
+/// recovered, never propagated to the cells that wait on it.
+fn lock(m: &Mutex<Share>) -> MutexGuard<'_, Share> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// One use of a published result; the stored copy goes with the last.
+fn use_ready(mut share: MutexGuard<'_, Share>) -> RunResult {
+    let State::Ready(r) = &share.state else {
+        unreachable!("only a published result is used");
+    };
+    let r = Arc::clone(r);
+    share.uses = share.uses.saturating_sub(1);
+    if share.uses == 0 {
+        share.state = State::Gone;
+    }
+    drop(share);
+    Arc::try_unwrap(r).unwrap_or_else(|r| (*r).clone())
+}
+
+/// Marks a pair's owned runs as started, and on drop (a normal return
+/// or an unwind) gives up every one it left unpublished, waking its
+/// waiters.
+struct Owner<'a> {
+    runs: &'a SharedRuns,
+    pair: usize,
+}
+
+impl<'a> Owner<'a> {
+    fn start(runs: &'a SharedRuns, pair: usize) -> Self {
+        let now = Instant::now();
+        for slot in runs.owned(pair) {
+            let mut share = lock(&slot.share);
+            if matches!(share.state, State::Pending) {
+                share.state = State::Running(now);
+            }
+        }
+        Self { runs, pair }
+    }
+}
+
+impl Drop for Owner<'_> {
+    fn drop(&mut self) {
+        for slot in self.runs.owned(self.pair) {
+            let mut share = lock(&slot.share);
+            if matches!(share.state, State::Pending | State::Running(_)) {
+                share.state = State::Gone;
+                slot.changed.notify_all();
+            }
+        }
     }
 }
 
@@ -394,6 +706,102 @@ mod tests {
         );
         assert_eq!(a.local.counters, b.local.counters);
         assert_eq!(a.target.counters, b.target.counters);
+    }
+
+    /// A cheap real run (the closed-form fast tier) of `w`.
+    fn fast_run(w: &WorkloadSpec) -> RunResult {
+        let fast = RunOptions {
+            fidelity: Fidelity::Fast,
+            ..opts()
+        };
+        run_workload(&Platform::emr2s(), &presets::local_emr(), w, &fast)
+    }
+
+    fn json(o: &PairOutcome) -> String {
+        serde_json::to_string(o).expect("outcome serializes")
+    }
+
+    #[test]
+    fn shared_runs_are_simulated_once_and_match_run_pair() {
+        let w = registry::by_name("605.mcf").expect("mcf");
+        let (platform, local) = (Platform::emr2s(), presets::local_emr());
+        let targets = [presets::local_emr(), presets::cxl_a(), presets::cxl_b()];
+        let mut ids = RunIds::default();
+        let runs = targets
+            .iter()
+            .map(|t| ids.pair(&pair_pieces(&platform, &local, t, &w, &opts())))
+            .collect();
+        // The baseline is one run, and the `local` target is that run too.
+        assert_eq!(runs, vec![[0, 0], [0, 1], [0, 2]]);
+        let shared = SharedRuns::new(runs, &CellPolicy::default());
+        let indexed: Vec<(usize, &DeviceSpec)> = targets.iter().enumerate().collect();
+        let got = crate::exec::parallel_map_with(3, &indexed, |&(i, t)| {
+            json(&shared.pair(i, &platform, [&local, t], &w, &opts()))
+        });
+        for (t, got) in targets.iter().zip(&got) {
+            assert_eq!(*got, json(&run_pair(&platform, &local, t, &w, &opts())));
+        }
+        assert_eq!((shared.simulated(), shared.reused()), (3, 3));
+        // Every stored result was dropped after its last use.
+        for slot in &shared.slots {
+            assert!(matches!(lock(&slot.share).state, State::Gone));
+        }
+    }
+
+    #[test]
+    fn a_waiter_simulates_the_run_its_owner_failed_to_publish() {
+        let w = registry::by_name("541.leela").expect("leela");
+        // Pairs 0 and 1 share run 0; pair 0 owns it and panics.
+        let shared = SharedRuns::new(vec![[0, 1], [0, 2]], &CellPolicy::default());
+        let calls = AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            // The waiter may block before the owner starts or arrive
+            // after it died; either way it must not wait for ever.
+            let waiter = s.spawn(|| {
+                shared.pair_with(1, &w, |_| {
+                    calls.fetch_add(1, Ordering::Relaxed);
+                    fast_run(&w)
+                })
+            });
+            let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                shared.pair_with(0, &w, |_| panic!("owner dies"))
+            }));
+            assert!(died.is_err());
+            waiter.join().expect("waiter completes");
+        });
+        assert_eq!(calls.load(Ordering::Relaxed), 2, "baseline and target");
+        assert_eq!((shared.simulated(), shared.reused()), (2, 0));
+    }
+
+    #[test]
+    fn a_waiter_gives_up_on_a_cancelled_or_overdue_owner() {
+        let w = registry::by_name("541.leela").expect("leela");
+        // Cancelled before the owner started: pair 0 never runs.
+        let token = Arc::new(AtomicBool::new(true));
+        let policy = CellPolicy::default().with_cancel(token);
+        let shared = SharedRuns::new(vec![[0, 1], [0, 2]], &policy);
+        shared.pair_with(1, &w, |_| fast_run(&w));
+        assert_eq!(shared.simulated(), 2);
+
+        // The owner started but overruns the deadline: the waiter
+        // simulates the run while the owner is still busy. (Pair 0 runs
+        // the baseline on both sides, so it simulates once.)
+        let policy = CellPolicy::default().with_deadline(Duration::from_millis(1));
+        let shared = SharedRuns::new(vec![[0, 0], [0, 1]], &policy);
+        let (started, release) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                shared.pair_with(0, &w, |_| {
+                    started.wait();
+                    release.wait();
+                    fast_run(&w)
+                })
+            });
+            started.wait();
+            shared.pair_with(1, &w, |_| fast_run(&w));
+            release.wait();
+        });
+        assert_eq!(shared.simulated(), 3, "both pairs simulated the baseline");
     }
 
     #[test]

@@ -102,6 +102,40 @@ fn warm_run_is_byte_identical_to_cold_and_fully_cached() {
 }
 
 #[test]
+fn a_cold_grid_quick_simulates_each_distinct_run_once() {
+    // 32 cells need 64 runs, of which 36 are distinct: each platform's
+    // baseline serves its four devices, and on emr2s the `local` device
+    // is the baseline itself. A warm run simulates nothing.
+    let dir = tmp_dir("run-count");
+    let path = format!("{}/datasets/grid_quick.json", env!("CARGO_MANIFEST_DIR"));
+    let spec = CampaignSpec::load(&path).expect("grid_quick");
+    let cache = ResultCache::open(&dir).expect("open");
+    let stats = |cache: &ResultCache| {
+        let mut j = Journal::in_memory();
+        run_campaign(
+            &spec,
+            Shard::full(),
+            &mut j,
+            Some(cache),
+            &CellPolicy::default(),
+        )
+        .expect("campaign")
+        .stats
+    };
+    let cold = stats(&cache);
+    assert_eq!(
+        (cold.simulated, cold.runs_simulated, cold.runs_reused),
+        (32, 36, 28)
+    );
+    let warm = stats(&cache);
+    assert_eq!(
+        (warm.cache_hits, warm.runs_simulated, warm.runs_reused),
+        (32, 0, 0)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn fidelity_is_part_of_cell_identity() {
     // A cache populated by a sampled (or fast) campaign must never serve
     // a detailed request, and vice versa: fidelity and the sampling

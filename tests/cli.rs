@@ -596,6 +596,26 @@ fn other_commands_reject_tier_and_cache_flags_with_exit_2() {
             "--sample-warmup",
         ),
         (vec!["status", "--sample-window", "64"], "--sample-window"),
+        (
+            vec!["run", "605.mcf", "cxl-b", "--page-bytes", "3"],
+            "--page-bytes",
+        ),
+        (
+            vec![
+                "run",
+                "605.mcf",
+                "cxl-b",
+                "--policy",
+                "static",
+                "--page-bytes",
+                "4096",
+            ],
+            "--page-bytes",
+        ),
+        (
+            vec!["probe", "cxl-a", "--migrate-budget-gbps", "4"],
+            "--migrate-budget-gbps",
+        ),
     ];
     for (args, name) in cases {
         let args = strings(&args);

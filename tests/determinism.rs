@@ -152,6 +152,81 @@ fn fault_regime_is_byte_identical_across_worker_counts() {
     assert_eq!(outputs[0], outputs[1], "1 job vs 4 jobs under faults");
 }
 
+/// Both platforms, the `local` device (on emr2s the same run as the
+/// baseline), a non-inert fault regime and an adaptive policy: 32 cells
+/// whose 64 runs hold 26 distinct ones (faults leave the local DRAM
+/// controller as it is, so `local` under `retrain` is `local`).
+const SHARED_RUNS_SPEC: &str = r#"{
+    "name": "shared-runs",
+    "platforms": ["emr2s", "spr2s"],
+    "devices": ["local", "cxl-b"],
+    "faults": ["none", "retrain"],
+    "policies": ["static", "clock"],
+    "workloads": ["541.leela", "605.mcf"],
+    "mem_refs": 3000
+}"#;
+
+#[test]
+fn campaign_cells_equal_their_own_run_pair_at_any_worker_count() {
+    // A campaign simulates each distinct run once and hands it to every
+    // cell that needs it; each cell's outcome must still be exactly the
+    // one its own run_pair gives.
+    let spec: CampaignSpec = serde_json::from_str(SHARED_RUNS_SPEC).expect("spec");
+    let cells = spec.expand().expect("expand");
+    assert_eq!(cells.len(), 32);
+    let want: Vec<String> = cells
+        .iter()
+        .map(|c| {
+            let o = run_pair(&c.platform, &c.local, &c.target, &c.workload, &c.opts);
+            serde_json::to_string(&o).expect("serialize")
+        })
+        .collect();
+    for jobs in [1, 4] {
+        let mut journal = Journal::in_memory();
+        let run = with_jobs(jobs, || {
+            run_campaign(
+                &spec,
+                Shard::full(),
+                &mut journal,
+                None,
+                &CellPolicy::default(),
+            )
+        })
+        .expect("campaign");
+        assert!(run.report.errors.is_empty(), "{:?}", run.report.errors);
+        assert_eq!(
+            (run.stats.runs_simulated, run.stats.runs_reused),
+            (26, 38),
+            "{jobs} workers"
+        );
+        for (c, want) in cells.iter().zip(&want) {
+            assert_eq!(
+                journal.get(&c.key),
+                Some(want.as_str()),
+                "{} at {jobs} workers",
+                c.label()
+            );
+        }
+    }
+}
+
+#[test]
+fn tiering_rows_are_identical_at_one_and_four_workers() {
+    // Each policy's cell forces tracing on its own thread only, so
+    // concurrent cells cannot switch each other's telemetry off and
+    // lose migration counts.
+    let run = || {
+        melody::experiments::tiering::run(
+            melody::experiments::Scale::Smoke,
+            melody_cpu::Fidelity::Detailed,
+            melody_cpu::SamplingParams::default(),
+        )
+    };
+    let serial = with_jobs(1, run);
+    assert!(serial.rows.iter().any(|r| r.migrations > 0));
+    assert_eq!(serial, with_jobs(4, run));
+}
+
 #[test]
 fn different_seed_changes_stochastic_outcomes() {
     let w = registry::by_name("bfs-web").expect("bfs-web");

@@ -176,6 +176,47 @@ fn trace_is_byte_identical_across_worker_counts() {
 }
 
 #[test]
+fn campaign_trace_is_byte_identical_across_worker_counts() {
+    // Cells share runs: the lowest-index cell that needs a run simulates
+    // it inside its own capture, so every event lands in the same cell
+    // however the workers interleave.
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let spec: CampaignSpec = serde_json::from_str(
+        r#"{
+            "name": "shared-trace",
+            "platforms": ["emr2s", "spr2s"],
+            "devices": ["local", "cxl-b"],
+            "faults": ["none", "retrain"],
+            "policies": ["static", "clock"],
+            "workloads": ["605.mcf"],
+            "mem_refs": 2000
+        }"#,
+    )
+    .expect("spec");
+    let mut exports = Vec::new();
+    for jobs in [1, 4] {
+        melody::exec::set_jobs(jobs);
+        set_mode(Mode::Trace);
+        let run = run_campaign(
+            &spec,
+            Shard::full(),
+            &mut Journal::in_memory(),
+            None,
+            &CellPolicy::default(),
+        );
+        set_mode(Mode::Off);
+        let collected = collect();
+        let stats = run.expect("campaign").stats;
+        assert_eq!((stats.simulated, stats.runs_simulated), (16, 13));
+        assert!(collected.events.len() > 100, "trace should have events");
+        exports.push(collected.chrome_trace());
+    }
+    melody::exec::set_jobs(0);
+    reset();
+    assert_eq!(exports[0], exports[1], "trace must not depend on --jobs");
+}
+
+#[test]
 fn telemetry_does_not_perturb_simulation() {
     let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
     set_mode(Mode::Off);
